@@ -513,13 +513,6 @@ impl Search<'_, '_> {
         mut proto: MapProtocol,
     ) -> Result<(), SolveError> {
         let kbp = self.enumerator.kbp;
-        // Final-layer entries: record what the program induces there so
-        // the protocol is total on reached local states.
-        let frontier: Vec<(Agent, LocalId)> = builder.frontier_locals();
-        let histories: Vec<(Agent, Vec<Obs>)> = frontier
-            .iter()
-            .map(|&(a, l)| (a, builder.local_history(a, l)))
-            .collect();
         let system = builder.finish();
 
         // Evaluate every guard (temporal ones included) on the finished
@@ -529,6 +522,8 @@ impl Search<'_, '_> {
         let sets = kbp_systems::satisfying_layers_with(&system, &self.engine, &flat_full)?;
         self.stats.guard_evaluations += flat_full.len();
 
+        // Final-layer entries: record what the program induces there so
+        // the protocol is total on reached local states.
         let t_last = system.layer_count() - 1;
         let mut offset = 0usize;
         for program in kbp.programs() {
@@ -547,7 +542,6 @@ impl Search<'_, '_> {
                 proto.insert(agent, history, induced);
             }
         }
-        let _ = histories; // histories recomputed from the system above
 
         let (mismatches, _) = compare_with_sets(&system, kbp, &proto, &sets)?;
         if mismatches.is_empty() && !self.found.iter().any(|imp| imp.protocol == proto) {

@@ -1,7 +1,9 @@
 //! Finite-state controller extraction.
 //!
-//! The solver's output is a [`MapProtocol`]: an explicit table from
-//! observation histories to actions — correct, but linear in the horizon.
+//! The solver's output is a [`MapProtocol`]: one action set per reached
+//! local state, stored on the agent's history forest (the trie of its
+//! observation histories) — correct, but linear in the number of
+//! histories the horizon reaches.
 //! FHMV's point that knowledge-based programs are *specifications* of
 //! standard protocols is completed by extracting the standard protocol in
 //! the form an implementer wants: a small Moore machine over
@@ -233,7 +235,7 @@ fn extract_controller(
     let mut entries: Vec<(Vec<Obs>, Vec<ActionId>)> = proto
         .iter()
         .filter(|(a, _, _)| *a == agent)
-        .map(|(_, h, acts)| (h.to_vec(), acts.to_vec()))
+        .map(|(_, h, acts)| (h, acts.to_vec()))
         .collect();
     entries.sort();
     for (history, actions) in &entries {

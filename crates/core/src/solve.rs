@@ -21,8 +21,8 @@ use crate::program::{Kbp, KbpError};
 use kbp_kripke::{BitSet, EvalCache, EvalCacheSnapshot, EvalEngine, EvalError, ThreadConfigError};
 use kbp_logic::{Agent, FormulaArena, FormulaId};
 use kbp_systems::{
-    layer_renaming, Context, GenerateError, InterpretedSystem, MapProtocol, Recall, StepChoices,
-    SystemBuilder,
+    layer_renaming, ActionId, Context, GenerateError, InterpretedSystem, LocalId, MapProtocol,
+    Recall, StepChoices, SystemBuilder,
 };
 use std::error::Error;
 use std::fmt;
@@ -755,10 +755,10 @@ impl<'a> SyncSolver<'a> {
         if let Some(worlds) = self.gen_quotient_min_worlds {
             builder.set_gen_quotient_min_worlds(worlds);
         }
-        let mut protocol = MapProtocol::new(vec![kbp_systems::ActionId(0)]);
-        for program in self.kbp.programs() {
-            protocol.set_agent_default(program.agent(), vec![program.default_action()]);
-        }
+        // Every induced action set, by agent and local state, over all
+        // layers so far: the next step reads the frontier's, and the
+        // finished system's history forests turn it into the protocol.
+        let mut choices = StepChoices::new();
         let mut stats = SolveStats::default();
         let mut per_layer: Vec<LayerStats> = Vec::new();
         let mut total_points = 0usize;
@@ -816,11 +816,12 @@ impl<'a> SyncSolver<'a> {
         let mut cache = EvalCache::new();
 
         let partial = |builder: SystemBuilder<'_>,
-                       protocol: MapProtocol,
+                       choices: StepChoices,
                        mut stats: SolveStats,
                        per_layer: Vec<LayerStats>,
                        exhausted: BudgetExhausted| {
             let system = builder.finish();
+            let protocol = self.protocol_on(&system, choices);
             stats.layers = system.layer_count();
             stats.points = usize::try_from(system.explicit_point_count()).unwrap_or(usize::MAX);
             SolveOutcome::Partial(Box::new(PartialSolution {
@@ -852,7 +853,7 @@ impl<'a> SyncSolver<'a> {
                 agents,
             ) {
                 if degrade {
-                    return Ok(partial(builder, protocol, stats, per_layer, exhausted));
+                    return Ok(partial(builder, choices, stats, per_layer, exhausted));
                 }
                 return Err(SolveError::Budget(exhausted));
             }
@@ -898,10 +899,10 @@ impl<'a> SyncSolver<'a> {
                     cache.clear();
                 }
             }
-            let choices = self.induce_layer(
+            self.induce_layer(
                 &builder,
                 t,
-                &mut protocol,
+                &mut choices,
                 &mut stats,
                 engine,
                 &guard_ids,
@@ -982,7 +983,7 @@ impl<'a> SyncSolver<'a> {
                             resource: Resource::Nodes,
                             at_layer: t + 1,
                         };
-                        return Ok(partial(builder, protocol, stats, per_layer, exhausted));
+                        return Ok(partial(builder, choices, stats, per_layer, exhausted));
                     }
                     Err(e) => return Err(e.into()),
                 }
@@ -990,6 +991,7 @@ impl<'a> SyncSolver<'a> {
         }
 
         let system = builder.finish();
+        let protocol = self.protocol_on(&system, choices);
         stats.layers = system.layer_count();
         stats.points = usize::try_from(system.explicit_point_count()).unwrap_or(usize::MAX);
         let stabilized = system.stabilization();
@@ -1002,23 +1004,35 @@ impl<'a> SyncSolver<'a> {
         })))
     }
 
-    /// Evaluates every guard on the frontier layer, records protocol
-    /// entries, and produces the step choices.
+    /// The protocol taking the induced `choices` on `system`'s history
+    /// forests, with each program's default action elsewhere.
+    fn protocol_on(&self, system: &InterpretedSystem, choices: StepChoices) -> MapProtocol {
+        let mut protocol = MapProtocol::from_choices(system, choices, vec![ActionId(0)]);
+        for program in self.kbp.programs() {
+            protocol.set_agent_default(program.agent(), vec![program.default_action()]);
+        }
+        protocol
+    }
+
+    /// Evaluates every guard on the frontier layer and records the
+    /// induced action set of every frontier local state in `choices`,
+    /// which accumulates the whole protocol by [`LocalId`].
     #[allow(clippy::too_many_arguments)]
     fn induce_layer(
         &self,
         builder: &SystemBuilder<'_>,
         time: usize,
-        protocol: &mut MapProtocol,
+        choices: &mut StepChoices,
         stats: &mut SolveStats,
         engine: &EvalEngine,
         guard_ids: &[Vec<FormulaId>],
         flat_ids: &[FormulaId],
         cache: &mut EvalCache,
-    ) -> Result<StepChoices, SolveError> {
+    ) -> Result<(), SolveError> {
+        /// A `first_world` slot of a local state not seen on this layer.
+        const UNSEEN: u32 = u32::MAX;
         let layer = builder.current();
         let model = layer.model();
-        let mut choices = StepChoices::new();
 
         // One sharded fill per layer covers all programs: a subformula
         // used by several agents' guards is evaluated once, and
@@ -1032,6 +1046,12 @@ impl<'a> SyncSolver<'a> {
         } else {
             engine.populate(model, cache, flat_ids)?;
         }
+        // Per program: the first world at which each local state occurs
+        // (dense by `LocalId`), the local states in first-occurrence
+        // order, and the induced action set per world, computed once.
+        let mut first_world: Vec<u32> = Vec::new();
+        let mut order: Vec<LocalId> = Vec::new();
+        let mut world_actions: Vec<Option<Vec<ActionId>>> = Vec::new();
         for (program, ids) in self.kbp.programs().iter().zip(guard_ids) {
             let agent = program.agent();
             let guard_sets: Vec<&BitSet> = ids.iter().filter_map(|&id| cache.get(id)).collect();
@@ -1042,8 +1062,9 @@ impl<'a> SyncSolver<'a> {
             }
             stats.guard_evaluations += guard_sets.len();
 
-            // Group points by the agent's local state; the guard valuation
-            // must be constant on each group. On a reduced layer the
+            // Group worlds by the agent's local state; the guard valuation
+            // must be constant on each group, so every later world of a
+            // local is compared with its first. On a reduced layer the
             // grouping runs over the class-level incidence structure
             // (every *member* local of every class — the explicit points a
             // class stands for are real run prefixes and each needs a
@@ -1051,76 +1072,67 @@ impl<'a> SyncSolver<'a> {
             // bisimilar and cannot disagree on a guard, so checking across
             // classes per member local sees exactly the disagreements the
             // explicit loop would.
-            let mut seen: std::collections::HashMap<kbp_systems::LocalId, (usize, Vec<bool>)> =
-                std::collections::HashMap::new();
+            first_world.clear();
+            order.clear();
+            let mut visit = |local: LocalId, world: usize| -> Result<(), SolveError> {
+                let slot = local.index();
+                if first_world.len() <= slot {
+                    first_world.resize(slot + 1, UNSEEN);
+                }
+                let first = first_world[slot];
+                if first == UNSEEN {
+                    first_world[slot] = world as u32;
+                    order.push(local);
+                } else if let Some(clause) = guard_sets
+                    .iter()
+                    .position(|s| s.contains(first as usize) != s.contains(world))
+                {
+                    return Err(SolveError::LocalityViolation {
+                        agent,
+                        clause,
+                        time,
+                    });
+                }
+                Ok(())
+            };
             if let Some(q) = layer.quotient().filter(|q| q.class_count() == layer.len()) {
                 for c in 0..q.class_count() {
-                    let truths: Vec<bool> = guard_sets.iter().map(|s| s.contains(c)).collect();
                     for &local in q.members(agent, c) {
-                        match seen.get(&local) {
-                            Some((_, prev)) if *prev != truths => {
-                                let clause = prev
-                                    .iter()
-                                    .zip(&truths)
-                                    .position(|(a, b)| a != b)
-                                    .unwrap_or(0);
-                                return Err(SolveError::LocalityViolation {
-                                    agent,
-                                    clause,
-                                    time,
-                                });
-                            }
-                            Some(_) => {}
-                            None => {
-                                seen.insert(local, (c, truths.clone()));
-                            }
-                        }
+                        visit(local, c)?;
                     }
                 }
             } else {
                 for (ni, node) in layer.nodes().iter().enumerate() {
-                    let local = node.local(agent);
-                    let truths: Vec<bool> = guard_sets.iter().map(|s| s.contains(ni)).collect();
-                    match seen.get(&local) {
-                        Some((_, prev)) if *prev != truths => {
-                            let clause = prev
-                                .iter()
-                                .zip(&truths)
-                                .position(|(a, b)| a != b)
-                                .unwrap_or(0);
-                            return Err(SolveError::LocalityViolation {
-                                agent,
-                                clause,
-                                time,
-                            });
-                        }
-                        Some(_) => {}
-                        None => {
-                            seen.insert(local, (ni, truths));
-                        }
-                    }
+                    visit(node.local(agent), ni)?;
                 }
             }
 
-            for (local, (_, truths)) in seen {
-                let actions = program.induced_actions(&truths);
-                let history = builder.local_history(agent, local);
-                // Under perfect recall a history occurs at exactly one
+            world_actions.clear();
+            world_actions.resize(layer.len(), None);
+            for &local in &order {
+                let world = first_world[local.index()] as usize;
+                let actions = world_actions[world].get_or_insert_with(|| {
+                    let truths: Vec<bool> = guard_sets.iter().map(|s| s.contains(world)).collect();
+                    program.induced_actions(&truths)
+                });
+                // Under perfect recall a local state occurs at exactly one
                 // time, so entries never collide. Under observational
-                // recall the same observation recurs; a memoryless
-                // protocol exists only if the induced actions agree.
-                if let Some(prev) = protocol.get(agent, &history) {
-                    if prev != actions.as_slice() {
+                // recall the same observation (a root local) recurs; a
+                // memoryless protocol exists only if the induced actions
+                // agree.
+                match choices.get(agent, local) {
+                    Some(prev) if prev != actions.as_slice() => {
                         return Err(SolveError::ObservationalConflict { agent, time });
                     }
-                } else {
-                    stats.protocol_entries += 1;
+                    Some(_) => {}
+                    None => {
+                        stats.protocol_entries += 1;
+                        choices.set(agent, local, actions.clone());
+                    }
                 }
-                protocol.insert(agent, history, actions.clone());
-                choices.set(agent, local, actions);
             }
         }
-        Ok(choices)
+        Ok(())
     }
 }
 

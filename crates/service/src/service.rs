@@ -1778,8 +1778,8 @@ fn resource_wire_name(r: Resource) -> &'static str {
 }
 
 /// Serializes a protocol as `[[agent, [obs...], [action...]], ...]`,
-/// sorted by `(agent, history)` — the backing map iterates in arbitrary
-/// order, and wire bytes must not.
+/// sorted by `(agent, history)` — the protocol iterates in the order its
+/// history forests were built, and wire bytes must not depend on that.
 fn protocol_json(protocol: &MapProtocol) -> Json {
     let mut entries: Vec<(usize, Vec<u64>, Vec<u32>)> = protocol
         .iter()
@@ -1947,6 +1947,67 @@ mod tests {
         assert_eq!(response.get("outcome"), Some(&Json::Str("complete".into())));
         assert!(matches!(response.get("protocol"), Some(Json::Arr(v)) if !v.is_empty()));
         assert_eq!(service.stats().jobs_executed, 1);
+    }
+
+    /// A protocol rebuilt entry by entry through `insert` — on forests of
+    /// its own, numbered in `iter` order — equals the solver's, which
+    /// shares the solved system's forests, and renders the same bytes.
+    #[test]
+    fn rebuilt_protocols_render_byte_identically() {
+        use kbp_scenarios::bit_transmission::{BitTransmission, Channel};
+        use kbp_scenarios::coordinated_attack::CoordinatedAttack;
+        use kbp_scenarios::muddy_children::MuddyChildren;
+        use kbp_scenarios::robot::Robot;
+        use kbp_scenarios::sequence_transmission::{SequenceTransmission, Tagging};
+        let mc = MuddyChildren::new(3);
+        let bt = BitTransmission::new(Channel::Lossy);
+        let st = SequenceTransmission::new(2, Tagging::Alternating, Channel::Lossy);
+        let ro = Robot::new(7, 3, 5);
+        let ca = CoordinatedAttack::new(Channel::Lossy);
+        let zoo: Vec<(&str, FnContext, Kbp, usize)> = vec![
+            ("muddy_children", mc.context(), mc.kbp(), 4),
+            ("bit_transmission", bt.context(), bt.kbp(), 6),
+            ("sequence_transmission", st.context(), st.kbp(), 6),
+            ("robot", ro.context(), ro.kbp(), 6),
+            ("coordinated_attack", ca.context(), ca.kbp(), 5),
+        ];
+        let mut compared = [0usize; 2];
+        for (name, ctx, kbp, horizon) in &zoo {
+            for (r, recall) in [Recall::Perfect, Recall::Observational]
+                .into_iter()
+                .enumerate()
+            {
+                let solved = match SyncSolver::new(ctx, kbp)
+                    .horizon(*horizon)
+                    .recall(recall)
+                    .solve()
+                {
+                    Ok(s) => s,
+                    Err(kbp_core::SolveError::ObservationalConflict { .. })
+                        if recall == Recall::Observational =>
+                    {
+                        continue;
+                    }
+                    Err(e) => panic!("{name} {recall:?}: {e}"),
+                };
+                let mut rebuilt = MapProtocol::new(vec![kbp_systems::ActionId(0)]);
+                for program in kbp.programs() {
+                    rebuilt.set_agent_default(program.agent(), vec![program.default_action()]);
+                }
+                for (agent, history, actions) in solved.protocol().iter() {
+                    rebuilt.insert(agent, history, actions.to_vec());
+                }
+                assert_eq!(&rebuilt, solved.protocol(), "{name} {recall:?}");
+                assert_eq!(
+                    protocol_json(&rebuilt).to_line(),
+                    protocol_json(solved.protocol()).to_line(),
+                    "{name} {recall:?}"
+                );
+                compared[r] += 1;
+            }
+        }
+        assert_eq!(compared[0], zoo.len());
+        assert!(compared[1] > 0, "no observational solve to compare");
     }
 
     #[test]

@@ -5,11 +5,19 @@
 //! protocols). Here a local state is presented to the protocol as a
 //! [`LocalView`] — the agent's observation history (perfect recall) or its
 //! current observation (observational semantics).
+//!
+//! [`MapProtocol`], the solvers' output, is finite: one action set per
+//! local state, stored on each agent's history forest — the
+//! `(parent, observation)` trie of a [`LocalTable`], shared with the solved
+//! system — rather than keyed by materialized histories.
 
 use crate::context::ActionId;
-use crate::state::Obs;
+use crate::state::{LocalId, LocalTable, Obs};
+use crate::system::{InterpretedSystem, StepChoices};
 use kbp_logic::Agent;
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
 /// An agent's local state as seen by a protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,11 +66,94 @@ where
     }
 }
 
+/// Interned action sets plus, per agent, one set index per local-state
+/// id: the storage shared by [`StepChoices`](crate::StepChoices) and
+/// [`MapProtocol`]. A protocol typically uses a handful of distinct
+/// action sets over hundreds of thousands of local states, so each slot
+/// is a `u32` and each set is stored once.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ActionTable {
+    sets: Vec<Vec<ActionId>>,
+    set_ids: HashMap<Vec<ActionId>, u32>,
+    /// `slots[agent][local]`: an index into `sets`, or [`NO_SET`].
+    slots: Vec<Vec<u32>>,
+}
+
+/// The slot value of a local state without an action set.
+const NO_SET: u32 = u32::MAX;
+
+impl ActionTable {
+    /// The index of `actions`, interning it on first sight.
+    fn intern(&mut self, actions: Vec<ActionId>) -> u32 {
+        if let Some(&id) = self.set_ids.get(&actions) {
+            return id;
+        }
+        let id = self.sets.len() as u32;
+        self.set_ids.insert(actions.clone(), id);
+        self.sets.push(actions);
+        id
+    }
+
+    /// Slot `slot` of agent `agent`, grown into existence as [`NO_SET`].
+    fn slot_mut(&mut self, agent: usize, slot: usize) -> &mut u32 {
+        if self.slots.len() <= agent {
+            self.slots.resize_with(agent + 1, Vec::new);
+        }
+        let slots = &mut self.slots[agent];
+        if slots.len() <= slot {
+            slots.resize(slot + 1, NO_SET);
+        }
+        &mut slots[slot]
+    }
+
+    /// Sets slot `slot` of agent `agent` to `actions`.
+    pub(crate) fn set(&mut self, agent: usize, slot: usize, actions: Vec<ActionId>) {
+        let id = self.intern(actions);
+        *self.slot_mut(agent, slot) = id;
+    }
+
+    /// The set index in slot `slot` of agent `agent`, if any.
+    fn index(&self, agent: usize, slot: usize) -> Option<u32> {
+        let id = *self.slots.get(agent)?.get(slot)?;
+        (id != NO_SET).then_some(id)
+    }
+
+    /// The action set in slot `slot` of agent `agent`, if any.
+    pub(crate) fn get(&self, agent: usize, slot: usize) -> Option<&[ActionId]> {
+        self.index(agent, slot).map(|id| self.set_of(id))
+    }
+
+    /// The action set behind an index.
+    fn set_of(&self, id: u32) -> &[ActionId] {
+        &self.sets[id as usize]
+    }
+
+    /// The occupied slots of one agent, as `(slot, set index)`.
+    fn occupied(&self, agent: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.slots
+            .get(agent)
+            .into_iter()
+            .flat_map(|slots| slots.iter().enumerate())
+            .filter(|&(_, &id)| id != NO_SET)
+            .map(|(slot, &id)| (slot, id))
+    }
+}
+
 /// A finite, table-driven joint protocol keyed by exact observation
 /// histories, with a per-agent default for unlisted histories.
 ///
 /// This is the concrete artifact produced by the `kbp-core` solvers: the
 /// standard protocol that implements a knowledge-based program.
+///
+/// Each agent's table lives on a *history forest* — the `(parent,
+/// observation)` trie of a [`LocalTable`] — with one action-set index
+/// per forest node; action sets are interned once per protocol. A
+/// protocol induced by the solver shares the forest its solved system
+/// already holds ([`from_choices`](Self::from_choices)); an
+/// [`insert`](Self::insert) of a history the shared forest lacks clones
+/// the forest first. Lookups walk the forest without allocating, and
+/// [`iter`](Self::iter) rebuilds each history from it. Equality compares
+/// entry sets, whatever the node numbering (DESIGN.md §18).
 ///
 /// # Example
 ///
@@ -81,9 +172,17 @@ where
 /// let view = LocalView { agent: a, history: &seen_zero };
 /// assert_eq!(p.actions(&view), vec![ActionId(0)]); // default
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct MapProtocol {
-    entries: HashMap<(Agent, Vec<Obs>), Vec<ActionId>>,
+    /// Per agent index: the history forest the table's slots index.
+    forests: Vec<Arc<LocalTable>>,
+    /// Slots indexed by [`LocalId`] in the agent's forest.
+    table: ActionTable,
+    /// Per agent index: the set index of the empty history, or
+    /// [`NO_SET`].
+    empty: Vec<u32>,
+    /// Number of explicit entries.
+    entries: usize,
     agent_defaults: HashMap<Agent, Vec<ActionId>>,
     default: Vec<ActionId>,
 }
@@ -100,9 +199,41 @@ impl MapProtocol {
     pub fn new(default: Vec<ActionId>) -> Self {
         assert!(!default.is_empty(), "default action set must be nonempty");
         MapProtocol {
-            entries: HashMap::new(),
-            agent_defaults: HashMap::new(),
             default,
+            ..MapProtocol::default()
+        }
+    }
+
+    /// The protocol that takes, at every local state of `system` that
+    /// `choices` covers, the action set `choices` gives it, and `default`
+    /// elsewhere. The entries live on `system`'s history forests, which
+    /// are shared rather than copied. Choices for local states foreign to
+    /// `system` are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `default` is empty.
+    #[must_use]
+    pub fn from_choices(
+        system: &InterpretedSystem,
+        choices: StepChoices,
+        default: Vec<ActionId>,
+    ) -> Self {
+        let forests = system.forests().to_vec();
+        let mut table = choices.into_table();
+        table.slots.truncate(forests.len());
+        for (slots, forest) in table.slots.iter_mut().zip(&forests) {
+            slots.truncate(forest.len());
+        }
+        let entries = (0..table.slots.len())
+            .map(|a| table.occupied(a).count())
+            .sum();
+        MapProtocol {
+            empty: vec![NO_SET; forests.len()],
+            forests,
+            table,
+            entries,
+            ..MapProtocol::new(default)
         }
     }
 
@@ -124,35 +255,80 @@ impl MapProtocol {
     /// Panics if `actions` is empty.
     pub fn insert(&mut self, agent: Agent, history: Vec<Obs>, actions: Vec<ActionId>) {
         assert!(!actions.is_empty(), "action set must be nonempty");
-        self.entries.insert((agent, history), actions);
+        let a = agent.index();
+        if self.forests.len() <= a {
+            self.forests.resize_with(a + 1, Arc::default);
+            self.empty.resize(a + 1, NO_SET);
+        }
+        let id = self.table.intern(actions);
+        let slot = match history.split_first() {
+            None => &mut self.empty[a],
+            Some((&root, rest)) => {
+                let forest = &mut self.forests[a];
+                let local = match forest.find(&history) {
+                    Some(local) => local,
+                    None => Arc::make_mut(forest).intern_history(root, rest),
+                };
+                self.table.slot_mut(a, local.index())
+            }
+        };
+        if std::mem::replace(slot, id) == NO_SET {
+            self.entries += 1;
+        }
+    }
+
+    /// The set index of agent `a`'s empty-history entry, if any.
+    fn empty_entry(&self, a: usize) -> Option<u32> {
+        self.empty.get(a).copied().filter(|&id| id != NO_SET)
+    }
+
+    /// The set index of a history's explicit entry, if any.
+    fn index(&self, agent: Agent, history: &[Obs]) -> Option<u32> {
+        let a = agent.index();
+        if history.is_empty() {
+            return self.empty_entry(a);
+        }
+        let local = self.forests.get(a)?.find(history)?;
+        self.table.index(a, local.index())
     }
 
     /// Looks up the explicit entry for a history, if any.
     #[must_use]
     pub fn get(&self, agent: Agent, history: &[Obs]) -> Option<&[ActionId]> {
-        self.entries
-            .get(&(agent, history.to_vec()))
-            .map(Vec::as_slice)
+        self.index(agent, history).map(|id| self.table.set_of(id))
     }
 
     /// Number of explicit entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries
     }
 
     /// Whether the protocol has no explicit entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries == 0
     }
 
-    /// Iterates over `(agent, history, actions)` entries in arbitrary
-    /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (Agent, &[Obs], &[ActionId])> {
-        self.entries
-            .iter()
-            .map(|((a, h), acts)| (*a, h.as_slice(), acts.as_slice()))
+    /// The explicit entries of one agent as `(forest node, set index)`;
+    /// `None` stands for the empty history.
+    fn entries_of(&self, a: usize) -> impl Iterator<Item = (Option<LocalId>, u32)> + '_ {
+        self.empty_entry(a).map(|id| (None, id)).into_iter().chain(
+            self.table
+                .occupied(a)
+                .map(|(slot, id)| (Some(LocalId(slot as u32)), id)),
+        )
+    }
+
+    /// Iterates over `(agent, history, actions)` entries, agent by agent.
+    /// Each history is rebuilt from the agent's history forest.
+    pub fn iter(&self) -> impl Iterator<Item = (Agent, Vec<Obs>, &[ActionId])> + '_ {
+        (0..self.forests.len()).flat_map(move |a| {
+            self.entries_of(a).map(move |(local, id)| {
+                let history = local.map_or_else(Vec::new, |l| self.forests[a].history(l));
+                (Agent::new(a), history, self.table.set_of(id))
+            })
+        })
     }
 
     /// Renders the protocol as a sorted, human-readable table using the
@@ -171,8 +347,8 @@ impl MapProtocol {
     pub fn to_pretty(&self, ctx: &dyn crate::context::Context) -> String {
         use std::fmt::Write as _;
         let voc = ctx.vocabulary();
-        let mut entries: Vec<(Agent, &[Obs], &[ActionId])> = self.iter().collect();
-        entries.sort_by(|x, y| (x.0, x.1.len(), x.1).cmp(&(y.0, y.1.len(), y.1)));
+        let mut entries: Vec<(Agent, Vec<Obs>, &[ActionId])> = self.iter().collect();
+        entries.sort_by(|x, y| (x.0, x.1.len(), &x.1).cmp(&(y.0, y.1.len(), &y.1)));
         let mut out = String::new();
         let mut current: Option<Agent> = None;
         for (agent, history, actions) in entries {
@@ -197,17 +373,74 @@ impl MapProtocol {
     pub fn is_deterministic(&self) -> bool {
         self.default.len() == 1
             && self.agent_defaults.values().all(|v| v.len() == 1)
-            && self.entries.values().all(|v| v.len() == 1)
+            && (0..self.forests.len()).all(|a| {
+                self.entries_of(a)
+                    .all(|(_, id)| self.table.set_of(id).len() == 1)
+            })
+    }
+
+    /// Whether every explicit entry of `self` is an entry of `other` with
+    /// the same action set. Walks `self`'s forests in id order, mapping
+    /// each node to `other`'s node for the same history (a parent's id is
+    /// smaller than its child's, so its image is already known).
+    fn entries_within(&self, other: &MapProtocol) -> bool {
+        (0..self.forests.len()).all(|a| {
+            let mine = &self.forests[a];
+            let empty = Arc::default();
+            let theirs = other.forests.get(a).unwrap_or(&empty);
+            let mut image: Vec<Option<LocalId>> = Vec::new();
+            self.entries_of(a).all(|(local, id)| {
+                let counterpart = match local {
+                    None => other.empty_entry(a),
+                    Some(l) => {
+                        while image.len() <= l.index() {
+                            let (parent, obs) = mine.entry(LocalId(image.len() as u32));
+                            image.push(match parent {
+                                None => theirs.lookup(None, obs),
+                                Some(p) => {
+                                    image[p.index()].and_then(|pi| theirs.lookup(Some(pi), obs))
+                                }
+                            });
+                        }
+                        image[l.index()].and_then(|m| other.table.index(a, m.index()))
+                    }
+                };
+                counterpart
+                    .is_some_and(|theirs| other.table.set_of(theirs) == self.table.set_of(id))
+            })
+        })
+    }
+}
+
+impl PartialEq for MapProtocol {
+    fn eq(&self, other: &Self) -> bool {
+        self.default == other.default
+            && self.agent_defaults == other.agent_defaults
+            && self.entries == other.entries
+            && self.entries_within(other)
+    }
+}
+
+impl Eq for MapProtocol {}
+
+impl fmt::Debug for MapProtocol {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut entries: Vec<(Agent, Vec<Obs>, &[ActionId])> = self.iter().collect();
+        entries.sort();
+        f.debug_struct("MapProtocol")
+            .field("entries", &entries)
+            .field("agent_defaults", &self.agent_defaults)
+            .field("default", &self.default)
+            .finish()
     }
 }
 
 impl ProtocolFn for MapProtocol {
     fn actions(&self, view: &LocalView<'_>) -> Vec<ActionId> {
-        self.entries
-            .get(&(view.agent, view.history.to_vec()))
-            .or_else(|| self.agent_defaults.get(&view.agent))
-            .cloned()
-            .unwrap_or_else(|| self.default.clone())
+        self.get(view.agent, view.history)
+            .or_else(|| self.agent_defaults.get(&view.agent).map(Vec::as_slice))
+            .unwrap_or(self.default.as_slice())
+            .to_vec()
     }
 }
 
@@ -337,6 +570,70 @@ mod tests {
     }
 
     #[test]
+    fn induced_protocols_share_the_system_forest_until_written() {
+        let mut voc = kbp_logic::Vocabulary::new();
+        let a = voc.add_agent("counter");
+        let ctx = crate::context::ContextBuilder::new(voc)
+            .initial_state(crate::state::GlobalState::new(vec![0]))
+            .agent_actions(a, ["tick", "wait"])
+            .transition(|s, _| s.with_reg(0, s.reg(0) + 1))
+            .observe(|_, s| Obs(u64::from(s.reg(0))))
+            .props(|_, _| false)
+            .build();
+        let mut b = crate::SystemBuilder::new(&ctx, crate::Recall::Perfect).unwrap();
+        let mut choices = StepChoices::new();
+        for t in 0..=3 {
+            for (agent, local) in b.frontier_locals() {
+                choices.set(agent, local, vec![ActionId(t % 2)]);
+            }
+            if t < 3 {
+                b.step(&choices).unwrap();
+            }
+        }
+        let system = b.finish();
+        let p = MapProtocol::from_choices(&system, choices, vec![ActionId(0)]);
+        assert!(Arc::ptr_eq(&p.forests[0], &system.forests()[0]));
+        assert_eq!(p.len(), 4);
+        let h = [Obs(0), Obs(1), Obs(2)];
+        assert_eq!(p.get(a, &h), Some(&[ActionId(0)][..]));
+        assert_eq!(p.get(a, &h[..2]), Some(&[ActionId(1)][..]));
+
+        // Overwriting a history the forest holds keeps sharing it.
+        let mut q = p.clone();
+        q.insert(a, h.to_vec(), vec![ActionId(1)]);
+        q.insert(a, Vec::new(), vec![ActionId(1)]);
+        assert!(Arc::ptr_eq(&q.forests[0], &system.forests()[0]));
+        assert_eq!(q.len(), 5);
+        assert_ne!(p, q);
+        // A new history clones the forest first; the system keeps its own.
+        q.insert(a, vec![Obs(0), Obs(7)], vec![ActionId(1)]);
+        assert!(!Arc::ptr_eq(&q.forests[0], &system.forests()[0]));
+        assert_eq!(system.forests()[0].len(), 4);
+        assert_eq!(q.len(), 6);
+        assert_eq!(p.get(a, &[Obs(0), Obs(7)]), None);
+        assert_eq!(q.get(a, &[Obs(0), Obs(7)]), Some(&[ActionId(1)][..]));
+    }
+
+    #[test]
+    fn equality_ignores_node_numbering() {
+        let a = Agent::new(0);
+        let mut p = MapProtocol::new(vec![ActionId(0)]);
+        p.insert(a, vec![Obs(1), Obs(2)], vec![ActionId(1)]);
+        p.insert(a, vec![Obs(3)], vec![ActionId(2)]);
+        p.insert(a, Vec::new(), vec![ActionId(3)]);
+        let mut q = MapProtocol::new(vec![ActionId(0)]);
+        q.insert(a, vec![Obs(3)], vec![ActionId(2)]);
+        q.insert(a, Vec::new(), vec![ActionId(3)]);
+        q.insert(a, vec![Obs(1), Obs(2)], vec![ActionId(1)]);
+        assert_eq!(p, q);
+        // A prefix interned for a longer history is not an entry.
+        assert_eq!(p.get(a, &[Obs(1)]), None);
+        q.insert(a, vec![Obs(1)], vec![ActionId(1)]);
+        assert_ne!(p, q);
+        assert_ne!(q, p);
+    }
+
+    #[test]
     fn determinism_check() {
         let mut p = MapProtocol::new(vec![ActionId(0)]);
         assert!(p.is_deterministic());
@@ -347,8 +644,50 @@ mod tests {
     }
 }
 
-serde::impl_serde_struct!(MapProtocol {
+/// The serde form: the entry list as a `(agent, history) → actions` map,
+/// then the defaults — independent of forest node numbering.
+struct MapProtocolWire {
+    entries: HashMap<(Agent, Vec<Obs>), Vec<ActionId>>,
+    agent_defaults: HashMap<Agent, Vec<ActionId>>,
+    default: Vec<ActionId>,
+}
+
+serde::impl_serde_struct!(MapProtocolWire {
     entries,
     agent_defaults,
     default,
 });
+
+impl serde::Serialize for MapProtocol {
+    fn serialize<S: serde::ser::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        MapProtocolWire {
+            entries: self
+                .iter()
+                .map(|(agent, history, actions)| ((agent, history), actions.to_vec()))
+                .collect(),
+            agent_defaults: self.agent_defaults.clone(),
+            default: self.default.clone(),
+        }
+        .serialize(serializer)
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for MapProtocol {
+    fn deserialize<D: serde::de::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let wire = <MapProtocolWire as serde::Deserialize>::deserialize(deserializer)?;
+        let mut protocol = MapProtocol {
+            agent_defaults: wire.agent_defaults,
+            default: wire.default,
+            ..MapProtocol::default()
+        };
+        for ((agent, history), actions) in wire.entries {
+            if actions.is_empty() {
+                return Err(<D::Error as serde::de::Error>::custom(
+                    "empty action set in protocol entry",
+                ));
+            }
+            protocol.insert(agent, history, actions);
+        }
+        Ok(protocol)
+    }
+}

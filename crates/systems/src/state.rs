@@ -242,6 +242,41 @@ impl LocalTable {
         id
     }
 
+    /// The local state whose observation history is `history`, if it was
+    /// interned. Walks the forest one observation at a time without
+    /// allocating; the empty history names no local state.
+    pub(crate) fn find(&self, history: &[Obs]) -> Option<LocalId> {
+        let mut cur = None;
+        for &obs in history {
+            cur = Some(self.lookup(cur, obs)?);
+        }
+        cur
+    }
+
+    /// The `(parent, observation)` extension, if interned.
+    pub(crate) fn lookup(&self, parent: Option<LocalId>, obs: Obs) -> Option<LocalId> {
+        self.ids.get(&(parent, obs)).copied()
+    }
+
+    /// Interns every prefix of the history `root, rest...`, returning the
+    /// local state of the whole history.
+    pub(crate) fn intern_history(&mut self, root: Obs, rest: &[Obs]) -> LocalId {
+        rest.iter().fold(self.intern_root(root), |parent, &obs| {
+            self.intern_child(parent, obs)
+        })
+    }
+
+    /// The `(parent, observation)` pair a local state extends; parents
+    /// are always interned before their children, so a parent's id is
+    /// smaller than its child's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not produced by this table.
+    pub(crate) fn entry(&self, id: LocalId) -> (Option<LocalId>, Obs) {
+        self.entries[id.index()]
+    }
+
     /// The observation history of a local state, oldest first.
     ///
     /// # Panics
@@ -310,6 +345,11 @@ mod tests {
         assert_eq!(t.last_obs(step2), Obs(9));
         // Interning the same extension twice yields the same id.
         assert_eq!(t.intern_child(root, Obs(8)), step1);
+        assert_eq!(t.find(&[Obs(7), Obs(8), Obs(9)]), Some(step2));
+        assert_eq!(t.find(&[Obs(7), Obs(9)]), None);
+        assert_eq!(t.find(&[]), None);
+        assert_eq!(t.intern_history(Obs(7), &[Obs(8)]), step1);
+        assert_eq!(t.entry(step2), (Some(step1), Obs(9)));
     }
 
     #[test]

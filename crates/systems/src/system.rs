@@ -14,17 +14,18 @@
 //! operators).
 
 use crate::context::{ActionId, Context, ContextError, JointAction};
-use crate::protocol::{LocalView, ProtocolFn};
+use crate::protocol::{ActionTable, LocalView, ProtocolFn};
 use crate::state::{GlobalState, LocalId, LocalTable, Obs, StateId, StateTable};
 use kbp_kripke::{
-    env_gen_quotient_min_worlds, Partition, S5Builder, S5Model, ThreadConfigError, UnionFind,
-    DEFAULT_GEN_QUOTIENT_MIN_WORLDS,
+    env_gen_quotient_min_worlds, BitSet, Partition, S5Builder, S5Model, ThreadConfigError,
+    UnionFind, DEFAULT_GEN_QUOTIENT_MIN_WORLDS,
 };
 use kbp_logic::{Agent, PropId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// How agents' local states evolve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -365,10 +366,13 @@ impl From<ContextError> for GenerateError {
 ///
 /// Keying by [`LocalId`] makes class-consistency automatic: all points
 /// where the agent has the same local state necessarily receive the same
-/// action set — the defining property of a protocol.
+/// action set — the defining property of a protocol. The table is dense
+/// per agent (one `u32` set index per local-state id, sets interned), so
+/// it may also hold choices for local states off the frontier; a
+/// [`step`](SystemBuilder::step) reads only the frontier's.
 #[derive(Debug, Clone, Default)]
 pub struct StepChoices {
-    per_agent: HashMap<(Agent, LocalId), Vec<ActionId>>,
+    table: ActionTable,
 }
 
 impl StepChoices {
@@ -380,13 +384,18 @@ impl StepChoices {
 
     /// Sets the action set for one `(agent, local state)` pair.
     pub fn set(&mut self, agent: Agent, local: LocalId, actions: Vec<ActionId>) {
-        self.per_agent.insert((agent, local), actions);
+        self.table.set(agent.index(), local.index(), actions);
     }
 
     /// Looks up the action set for a pair, if present.
     #[must_use]
     pub fn get(&self, agent: Agent, local: LocalId) -> Option<&[ActionId]> {
-        self.per_agent.get(&(agent, local)).map(Vec::as_slice)
+        self.table.get(agent.index(), local.index())
+    }
+
+    /// The underlying table, for [`MapProtocol::from_choices`].
+    pub(crate) fn into_table(self) -> ActionTable {
+        self.table
     }
 }
 
@@ -577,18 +586,22 @@ impl<'c> SystemBuilder<'c> {
     /// run prefixes and a protocol must act at each of them.
     #[must_use]
     pub fn frontier_locals(&self) -> Vec<(Agent, LocalId)> {
-        let mut seen: Vec<(Agent, LocalId)> = Vec::new();
+        // One dense seen-bitmap per agent, sized by its local table, keeps
+        // the first-occurrence order in linear time.
+        let mut seen: Vec<BitSet> = self.locals.iter().map(|t| BitSet::new(t.len())).collect();
+        let mut out: Vec<(Agent, LocalId)> = Vec::new();
+        let mut visit = |i: usize, l: LocalId| {
+            if seen[i].insert(l.index()) {
+                out.push((Agent::new(i), l));
+            }
+        };
         let layer = self.current();
         match layer.quotient() {
             Some(q) => {
                 for i in 0..self.ctx.agent_count() {
-                    let agent = Agent::new(i);
                     for c in 0..q.class_count() {
-                        for &l in q.members(agent, c) {
-                            let key = (agent, l);
-                            if !seen.contains(&key) {
-                                seen.push(key);
-                            }
+                        for &l in q.members(Agent::new(i), c) {
+                            visit(i, l);
                         }
                     }
                 }
@@ -596,15 +609,12 @@ impl<'c> SystemBuilder<'c> {
             None => {
                 for node in layer.nodes() {
                     for (i, &l) in node.locals.iter().enumerate() {
-                        let key = (Agent::new(i), l);
-                        if !seen.contains(&key) {
-                            seen.push(key);
-                        }
+                        visit(i, l);
                     }
                 }
             }
         }
-        seen
+        out
     }
 
     fn layer_model(&self, nodes: &[Node]) -> S5Model {
@@ -1206,7 +1216,7 @@ impl<'c> SystemBuilder<'c> {
         InterpretedSystem {
             layers: self.layers,
             states: self.states,
-            locals: self.locals,
+            locals: self.locals.into_iter().map(Arc::new).collect(),
             agents: self.ctx.agent_count(),
             recall: self.recall,
         }
@@ -1223,7 +1233,9 @@ impl<'c> SystemBuilder<'c> {
 pub struct InterpretedSystem {
     layers: Vec<Layer>,
     states: StateTable,
-    locals: Vec<LocalTable>,
+    /// Per agent: the history forest of its local states, shared with the
+    /// protocols induced on this system.
+    locals: Vec<Arc<LocalTable>>,
     agents: usize,
     recall: Recall,
 }
@@ -1316,6 +1328,11 @@ impl InterpretedSystem {
     #[must_use]
     pub fn local_view(&self, agent: Agent, local: LocalId) -> Vec<Obs> {
         self.locals[agent.index()].history(local)
+    }
+
+    /// Per agent, the history forest of its local states.
+    pub(crate) fn forests(&self) -> &[Arc<LocalTable>] {
+        &self.locals
     }
 
     /// The local state of `agent` at `point`.
@@ -1614,6 +1631,93 @@ mod tests {
         assert_eq!(sys.horizon(), 2);
         for p in sys.points() {
             let _ = sys.global_state(p);
+        }
+    }
+
+    /// The quadratic reference `frontier_locals` must keep agreeing with:
+    /// every `(agent, local)` pair in first-occurrence order.
+    fn naive_frontier_locals(b: &SystemBuilder<'_>) -> Vec<(Agent, LocalId)> {
+        let mut seen: Vec<(Agent, LocalId)> = Vec::new();
+        let layer = b.current();
+        let pairs: Vec<(Agent, LocalId)> = match layer.quotient() {
+            Some(q) => (0..b.context().agent_count())
+                .flat_map(|i| {
+                    (0..q.class_count()).flat_map(move |c| {
+                        q.members(Agent::new(i), c)
+                            .iter()
+                            .map(move |&l| (Agent::new(i), l))
+                    })
+                })
+                .collect(),
+            None => layer
+                .nodes()
+                .iter()
+                .flat_map(|n| {
+                    n.locals()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &l)| (Agent::new(i), l))
+                })
+                .collect(),
+        };
+        for key in pairs {
+            if !seen.contains(&key) {
+                seen.push(key);
+            }
+        }
+        seen
+    }
+
+    /// Agent `a` sees fresh environment noise each step, agent `b` sees
+    /// nothing: `a`'s histories multiply while the state (the last noise)
+    /// keeps two values, so a fused frontier has two classes with many
+    /// member locals each.
+    fn noise_context() -> FnContext {
+        let mut voc = Vocabulary::new();
+        let a = voc.add_agent("a");
+        let b = voc.add_agent("b");
+        let one = voc.add_prop("one");
+        ContextBuilder::new(voc)
+            .initial_state(GlobalState::new(vec![0]))
+            .initial_state(GlobalState::new(vec![1]))
+            .agent_actions(a, ["noop"])
+            .agent_actions(b, ["noop"])
+            .env_actions(["zero", "one"])
+            .env_protocol(|_| vec![EnvActionId(0), EnvActionId(1)])
+            .transition(|s, j| s.with_reg(0, j.env.0))
+            .observe(move |agent, s| {
+                if agent == a {
+                    Obs(u64::from(s.reg(0)))
+                } else {
+                    Obs(0)
+                }
+            })
+            .props(move |p, s| p == one && s.reg(0) == 1)
+            .build()
+    }
+
+    #[test]
+    fn frontier_locals_keep_first_occurrence_order() {
+        let noop = |_: &LocalView<'_>| vec![ActionId(0)];
+        for gate in [usize::MAX, 0] {
+            let ctx = noise_context();
+            let mut b = SystemBuilder::new(&ctx, Recall::Perfect).unwrap();
+            b.set_gen_quotient_min_worlds(gate);
+            for _ in 0..4 {
+                assert_eq!(b.frontier_locals(), naive_frontier_locals(&b));
+                b.step_with(&noop).unwrap();
+            }
+            assert_eq!(b.frontier_locals(), naive_frontier_locals(&b));
+            let layer = b.current();
+            assert_eq!(layer.explicit_len(), 32);
+            if gate == 0 {
+                let q = layer.quotient().unwrap();
+                assert_eq!(q.class_count(), 2, "reduced frontier");
+                assert_eq!(q.members(Agent::new(0), 0).len(), 16);
+            } else {
+                assert!(layer.quotient().is_none(), "explicit frontier");
+            }
+            assert_eq!(b.frontier_locals().len(), 32 + 1);
         }
     }
 

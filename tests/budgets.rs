@@ -37,7 +37,7 @@ fn guard_evaluation_budget_yields_one_layer_partial() {
         full.per_layer()[0].protocol_entries
     );
     for (agent, view, acts) in partial.protocol().iter() {
-        assert_eq!(full.protocol().get(agent, view), Some(acts));
+        assert_eq!(full.protocol().get(agent, &view), Some(acts));
     }
 }
 

@@ -48,7 +48,7 @@ proptest! {
         let solution = SyncSolver::new(&ctx, &kbp).horizon(4).solve().unwrap();
         let machines = ControllerProtocol::from_solution(&solution, &kbp).unwrap();
         for (agent, history, actions) in solution.protocol().iter() {
-            let mut got = machines.actions(&LocalView { agent, history });
+            let mut got = machines.actions(&LocalView { agent, history: &history });
             got.sort_unstable();
             let mut want = actions.to_vec();
             want.sort_unstable();

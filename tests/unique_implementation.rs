@@ -179,3 +179,43 @@ proptest! {
         prop_assert!(report.is_implementation(), "{}", report);
     }
 }
+
+/// The observational-recall conflict the property above tolerates, pinned
+/// to the agent and time at which it is reported: the solver must detect
+/// a time-variant induced table at the first layer where a recurring
+/// observation is induced a different action set, whatever the protocol's
+/// storage.
+#[test]
+fn observational_conflicts_keep_their_agent_and_time() {
+    let cfg = RandomContextConfig::default();
+    // (context seed, program seed, agent, time), as first recorded.
+    let pinned: [(u64, u64, usize, usize); 9] = [
+        (0, 0, 0, 1),
+        (0, 1, 0, 2),
+        (0, 2, 0, 1),
+        (0, 3, 1, 2),
+        (0, 6, 1, 1),
+        (0, 7, 0, 1),
+        (0, 9, 1, 1),
+        (0, 11, 1, 2),
+        (0, 12, 0, 2),
+    ];
+    for (ctx_seed, kbp_seed, agent, time) in pinned {
+        let ctx = random_context(ctx_seed, &cfg);
+        let kbp = random_kbp(kbp_seed, 2, 2);
+        kbp.validate(&ctx).unwrap();
+        let err = SyncSolver::new(&ctx, &kbp)
+            .horizon(3)
+            .recall(Recall::Observational)
+            .solve()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            kbp_core::SolveError::ObservationalConflict {
+                agent: Agent::new(agent),
+                time,
+            },
+            "context seed {ctx_seed}, program seed {kbp_seed}"
+        );
+    }
+}
