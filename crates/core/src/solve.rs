@@ -18,7 +18,9 @@
 
 use crate::budget::{Budget, BudgetExhausted, LayerStats, Resource};
 use crate::program::{Kbp, KbpError};
-use kbp_kripke::{BitSet, EvalCache, EvalCacheSnapshot, EvalEngine, EvalError, ThreadConfigError};
+use kbp_kripke::{
+    BitSet, EvalCache, EvalCacheSnapshot, EvalEngine, EvalError, QuotientGate, ThreadConfigError,
+};
 use kbp_logic::{Agent, FormulaArena, FormulaId};
 use kbp_systems::{
     layer_renaming, ActionId, Context, GenerateError, InterpretedSystem, LocalId, MapProtocol,
@@ -630,9 +632,13 @@ impl<'a> SyncSolver<'a> {
     /// layer by agent-indistinguishability bisimulation and evaluates
     /// epistemic guards on the quotient (default: the
     /// `KBP_QUOTIENT_MIN_WORLDS` environment variable if set, else
-    /// [`kbp_kripke::DEFAULT_QUOTIENT_MIN_WORLDS`]). `0` quotients every
-    /// layer with an epistemic guard; `usize::MAX` disables the stage. The
-    /// solution is bit-identical for every value — only
+    /// [`kbp_kripke::DEFAULT_QUOTIENT_MIN_WORLDS`]). Once a layer's
+    /// quotient compresses by less than
+    /// [`kbp_kripke::MIN_QUOTIENT_COMPRESSION`], later layers skip the
+    /// stage until the frontier has grown by that factor (see
+    /// [`kbp_kripke::QuotientGate`]). `0` quotients every layer with an
+    /// epistemic guard, whatever the compression; `usize::MAX` disables
+    /// the stage. The solution is bit-identical for every value — only
     /// [`LayerStats::quotient_worlds`] and wall-clock change.
     #[must_use]
     pub fn quotient_min_worlds(mut self, worlds: usize) -> Self {
@@ -643,7 +649,9 @@ impl<'a> SyncSolver<'a> {
     /// Sets the minimum frontier width (points) before the builder's
     /// fused step+quotient generation path engages (default: the
     /// `KBP_GEN_QUOTIENT_MIN_WORLDS` environment variable if set, else
-    /// [`kbp_kripke::DEFAULT_GEN_QUOTIENT_MIN_WORLDS`]). `0` generates
+    /// [`kbp_kripke::DEFAULT_GEN_QUOTIENT_MIN_WORLDS`]), under the same
+    /// compression feedback as
+    /// [`quotient_min_worlds`](Self::quotient_min_worlds). `0` generates
     /// every layer as bisimulation representatives with multiplicities;
     /// `usize::MAX` keeps generation explicit. The solution is
     /// bit-identical for every value — only which points are resident
@@ -811,6 +819,8 @@ impl<'a> SyncSolver<'a> {
         };
         // Interning is done; the rest of the solve only reads the engine.
         let engine: &EvalEngine = engine;
+        // The evaluation quotient's compression feedback, per unrolling.
+        let mut eval_gate = QuotientGate::new(engine.quotient_min_worlds());
         // The per-layer cache persists across the loop so stabilised
         // suffixes can carry satisfaction sets forward.
         let mut cache = EvalCache::new();
@@ -905,6 +915,7 @@ impl<'a> SyncSolver<'a> {
                 &mut choices,
                 &mut stats,
                 engine,
+                eval_gate.admits(frontier),
                 &guard_ids,
                 &flat_ids,
                 &mut cache,
@@ -928,6 +939,9 @@ impl<'a> SyncSolver<'a> {
             // otherwise (including restored/carried layers, which skip the
             // fill and leave no quotient behind).
             let quotient_worlds = cache.quotient_worlds();
+            if quotient_worlds > 0 {
+                eval_gate.judge(frontier, quotient_worlds);
+            }
             let effective = if quotient_worlds > 0 {
                 quotient_worlds.min(frontier)
             } else {
@@ -1016,7 +1030,8 @@ impl<'a> SyncSolver<'a> {
 
     /// Evaluates every guard on the frontier layer and records the
     /// induced action set of every frontier local state in `choices`,
-    /// which accumulates the whole protocol by [`LocalId`].
+    /// which accumulates the whole protocol by [`LocalId`]. The engine's
+    /// quotient stage may run only where `quotient` is set.
     #[allow(clippy::too_many_arguments)]
     fn induce_layer(
         &self,
@@ -1025,6 +1040,7 @@ impl<'a> SyncSolver<'a> {
         choices: &mut StepChoices,
         stats: &mut SolveStats,
         engine: &EvalEngine,
+        quotient: bool,
         guard_ids: &[Vec<FormulaId>],
         flat_ids: &[FormulaId],
         cache: &mut EvalCache,
@@ -1040,8 +1056,9 @@ impl<'a> SyncSolver<'a> {
         // cache already holds every root, making this a no-op. A layer
         // generated by the fused step+quotient path arrives pre-reduced —
         // its worlds already are bisimulation classes — so the engine's
-        // own re-quotient stage is skipped for it.
-        if layer.is_reduced() {
+        // own re-quotient stage is skipped for it, as it is while the
+        // stage's compression feedback holds it off.
+        if layer.is_reduced() || !quotient {
             engine.populate_prereduced(model, cache, flat_ids)?;
         } else {
             engine.populate(model, cache, flat_ids)?;

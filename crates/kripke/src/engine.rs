@@ -81,6 +81,86 @@ pub const GEN_QUOTIENT_MIN_WORLDS_ENV: &str = "KBP_GEN_QUOTIENT_MIN_WORLDS";
 /// bit-identical either way.
 pub const DEFAULT_GEN_QUOTIENT_MIN_WORLDS: usize = 4096;
 
+/// The feedback half of both quotient gates: an attempted reduction of an
+/// `n`-world layer into `k` classes is *declined* when
+/// `k * MIN_QUOTIENT_COMPRESSION > n`. A declined stage stays off until
+/// the layer has grown by this factor since the decline (see
+/// [`QuotientGate`]).
+pub const MIN_QUOTIENT_COMPRESSION: usize = 2;
+
+/// One quotient stage's gate: a width threshold plus compression
+/// feedback. The generation stage (`kbp_systems::SystemBuilder`) and the
+/// solver's evaluation stage each keep one per unrolling.
+///
+/// A layer is admitted when it is at least `min_worlds` wide and no
+/// decline is in force. An attempt that compresses by less than
+/// [`MIN_QUOTIENT_COMPRESSION`] declines: the stage then skips every layer
+/// narrower than `MIN_QUOTIENT_COMPRESSION` times the declined width, so
+/// a layer that keeps growing is retried at geometrically spaced widths
+/// (total retry cost within a constant factor of one attempt) and a layer
+/// of constant width is never retried. `min_worlds == 0` forces the stage
+/// on every layer and never declines; `usize::MAX` keeps it off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuotientGate {
+    min_worlds: usize,
+    declined_at: Option<usize>,
+}
+
+impl QuotientGate {
+    /// A gate admitting layers at least `min_worlds` wide, with no
+    /// decline in force.
+    #[must_use]
+    pub const fn new(min_worlds: usize) -> Self {
+        QuotientGate {
+            min_worlds,
+            declined_at: None,
+        }
+    }
+
+    /// The width threshold.
+    #[must_use]
+    pub const fn min_worlds(&self) -> usize {
+        self.min_worlds
+    }
+
+    /// The width of the decline in force, if any.
+    #[must_use]
+    pub const fn declined_at(&self) -> Option<usize> {
+        self.declined_at
+    }
+
+    /// Whether the stage attempts a reduction of a `worlds`-wide layer.
+    #[must_use]
+    pub fn admits(&self, worlds: usize) -> bool {
+        worlds >= self.min_worlds
+            && (self.min_worlds == 0
+                || self
+                    .declined_at
+                    .is_none_or(|at| worlds >= at.saturating_mul(MIN_QUOTIENT_COMPRESSION)))
+    }
+
+    /// Judges an attempt that reduced `worlds` worlds to `classes`
+    /// classes. Returns `true` — and puts the decline in force — when it
+    /// compressed by less than [`MIN_QUOTIENT_COMPRESSION`]; a compressing
+    /// attempt lifts any earlier decline. A forced gate never declines.
+    pub fn judge(&mut self, worlds: usize, classes: usize) -> bool {
+        if self.min_worlds == 0 {
+            return false;
+        }
+        let declined = classes.saturating_mul(MIN_QUOTIENT_COMPRESSION) > worlds;
+        self.declined_at = declined.then_some(worlds);
+        declined
+    }
+
+    /// Puts a decline at `worlds` in force for an attempt that could not
+    /// reduce the layer at all (no class count to judge).
+    pub fn decline(&mut self, worlds: usize) {
+        if self.min_worlds != 0 {
+            self.declined_at = Some(worlds);
+        }
+    }
+}
+
 /// Largest worker-thread count accepted from an environment variable.
 /// Far above any plausible machine; a value beyond it is a typo (an extra
 /// digit, a pasted timestamp), not a configuration.
@@ -489,12 +569,13 @@ impl EvalEngine {
         self.populate_explicit(model, cache, &todo)
     }
 
-    /// [`populate`](Self::populate) for a layer that is *already* a
-    /// bisimulation quotient: the re-quotient stage of DESIGN.md §15 is
-    /// skipped unconditionally, because re-deriving classes of a model
-    /// whose worlds are themselves class representatives wastes a
-    /// refinement pass to learn what the caller already knows. Threading
-    /// and intra-layer sharding still apply.
+    /// [`populate`](Self::populate) with the quotient stage of DESIGN.md
+    /// §15 skipped unconditionally. Meant for a layer that is *already* a
+    /// bisimulation quotient — re-deriving classes of a model whose worlds
+    /// are themselves class representatives wastes a refinement pass to
+    /// learn what the caller already knows — and for a layer whose
+    /// [`QuotientGate`] holds the stage off. Threading and intra-layer
+    /// sharding still apply.
     ///
     /// # Errors
     ///
@@ -1438,6 +1519,32 @@ mod tests {
         assert_eq!(engine.quotient_min_worlds(), 0);
         let engine = engine.with_quotient_min_worlds(usize::MAX);
         assert_eq!(engine.quotient_min_worlds(), usize::MAX);
+    }
+
+    #[test]
+    fn quotient_gate_declines_below_the_ratio_and_backs_off() {
+        let mut gate = QuotientGate::new(100);
+        assert!(!gate.admits(99));
+        assert!(gate.admits(100));
+        // Exactly half compresses enough; one class more declines.
+        assert!(!gate.judge(100, 50));
+        assert!(gate.judge(100, 51));
+        assert_eq!(gate.declined_at(), Some(100));
+        assert!(!gate.admits(199));
+        assert!(gate.admits(200));
+        // A compressing retry lifts the decline.
+        assert!(!gate.judge(200, 10));
+        assert!(gate.admits(100));
+        gate.decline(usize::MAX / 2 + 1);
+        assert!(!gate.admits(usize::MAX - 1), "no overflow in the back-off");
+
+        // Forced never declines; disabled never admits.
+        let mut forced = QuotientGate::new(0);
+        assert!(!forced.judge(10, 10));
+        forced.decline(10);
+        assert_eq!(forced.declined_at(), None);
+        assert!(forced.admits(0) && forced.admits(11));
+        assert!(!QuotientGate::new(usize::MAX).admits(1 << 40));
     }
 
     #[test]

@@ -69,10 +69,10 @@ pub use bisim::Quotient;
 pub use bitset::BitSet;
 pub use engine::{
     env_gen_quotient_min_worlds, env_quotient_min_worlds, env_shard_min_worlds, env_threads,
-    parse_thread_count, EvalEngine, TemporalOps, ThreadConfigError,
+    parse_thread_count, EvalEngine, QuotientGate, TemporalOps, ThreadConfigError,
     DEFAULT_GEN_QUOTIENT_MIN_WORLDS, DEFAULT_QUOTIENT_MIN_WORLDS, DEFAULT_SHARD_MIN_WORLDS,
-    GEN_QUOTIENT_MIN_WORLDS_ENV, MAX_CONFIG_THREADS, QUOTIENT_MIN_WORLDS_ENV, SHARD_MIN_WORLDS_ENV,
-    THREADS_ENV,
+    GEN_QUOTIENT_MIN_WORLDS_ENV, MAX_CONFIG_THREADS, MIN_QUOTIENT_COMPRESSION,
+    QUOTIENT_MIN_WORLDS_ENV, SHARD_MIN_WORLDS_ENV, THREADS_ENV,
 };
 pub use eval::{blocks_inside, blocks_inside_sharded, EvalCache, EvalCacheSnapshot, EvalError};
 pub use events::{Event, EventId, EventModel, EventModelBuilder, Product, UpdateError};

@@ -17,8 +17,8 @@ use crate::context::{ActionId, Context, ContextError, JointAction};
 use crate::protocol::{ActionTable, LocalView, ProtocolFn};
 use crate::state::{GlobalState, LocalId, LocalTable, Obs, StateId, StateTable};
 use kbp_kripke::{
-    env_gen_quotient_min_worlds, BitSet, Partition, S5Builder, S5Model, ThreadConfigError,
-    UnionFind, DEFAULT_GEN_QUOTIENT_MIN_WORLDS,
+    env_gen_quotient_min_worlds, BitSet, Partition, QuotientGate, S5Builder, S5Model,
+    ThreadConfigError, UnionFind, DEFAULT_GEN_QUOTIENT_MIN_WORLDS,
 };
 use kbp_logic::{Agent, PropId};
 use std::collections::hash_map::Entry;
@@ -414,7 +414,8 @@ pub struct SystemBuilder<'c> {
     layers: Vec<Layer>,
     node_limit: usize,
     nodes_created: usize,
-    gen_quotient_min_worlds: usize,
+    /// The fused-generation gate and its compression feedback.
+    gen_gate: QuotientGate,
 }
 
 impl Clone for SystemBuilder<'_> {
@@ -429,7 +430,7 @@ impl Clone for SystemBuilder<'_> {
             layers: self.layers.clone(),
             node_limit: self.node_limit,
             nodes_created: self.nodes_created,
-            gen_quotient_min_worlds: self.gen_quotient_min_worlds,
+            gen_gate: self.gen_gate,
         }
     }
 }
@@ -464,7 +465,7 @@ impl<'c> SystemBuilder<'c> {
             layers: Vec::new(),
             node_limit: 2_000_000,
             nodes_created: 0,
-            gen_quotient_min_worlds,
+            gen_gate: QuotientGate::new(gen_quotient_min_worlds),
         };
         let mut dedup: HashMap<(StateId, Vec<LocalId>), u32> = HashMap::new();
         let mut nodes: Vec<Node> = Vec::new();
@@ -505,17 +506,21 @@ impl<'c> SystemBuilder<'c> {
 
     /// Sets the fused-generation gate: frontiers at least this wide are
     /// folded to bisimulation representatives (with multiplicities)
-    /// before stepping, so the explicit next layer is never resident.
-    /// `0` fuses from layer 0, `usize::MAX` keeps generation explicit.
-    /// Overrides `KBP_GEN_QUOTIENT_MIN_WORLDS` (default 4096).
+    /// before stepping, so the explicit next layer is never resident —
+    /// unless the fold compresses by less than
+    /// [`MIN_QUOTIENT_COMPRESSION`](kbp_kripke::MIN_QUOTIENT_COMPRESSION),
+    /// which backs the stage off (see [`QuotientGate`]). `0` fuses from
+    /// layer 0 whatever the compression, `usize::MAX` keeps generation
+    /// explicit. Overrides `KBP_GEN_QUOTIENT_MIN_WORLDS` (default 4096)
+    /// and lifts any decline in force.
     pub fn set_gen_quotient_min_worlds(&mut self, worlds: usize) {
-        self.gen_quotient_min_worlds = worlds;
+        self.gen_gate = QuotientGate::new(worlds);
     }
 
     /// The fused-generation gate in force.
     #[must_use]
     pub fn gen_quotient_min_worlds(&self) -> usize {
-        self.gen_quotient_min_worlds
+        self.gen_gate.min_worlds()
     }
 
     /// The context being unrolled.
@@ -635,14 +640,15 @@ impl<'c> SystemBuilder<'c> {
 
     /// Extends the unrolling by one time step using the given choices.
     ///
-    /// When the frontier is at least
-    /// [`gen_quotient_min_worlds`](Self::gen_quotient_min_worlds) wide
-    /// (or is already reduced), the fused step+quotient path engages: the
-    /// frontier is folded to bisimulation representatives with exact
-    /// multiplicities, successors are computed for representatives only,
-    /// and the new layer is canonicalized before anything explicit is
-    /// materialized (DESIGN.md §17). Solutions induced from the layers
-    /// are bit-identical to explicit generation.
+    /// When the frontier is already reduced, or is at least
+    /// [`gen_quotient_min_worlds`](Self::gen_quotient_min_worlds) wide and
+    /// folds to at most half as many classes (see [`QuotientGate`]), the
+    /// fused step+quotient path engages: the frontier is folded to
+    /// bisimulation representatives with exact multiplicities, successors
+    /// are computed for representatives only, and the new layer is
+    /// canonicalized before anything explicit is materialized (DESIGN.md
+    /// §17). Solutions induced from the layers are bit-identical to
+    /// explicit generation.
     ///
     /// # Errors
     ///
@@ -654,7 +660,7 @@ impl<'c> SystemBuilder<'c> {
         if self.current().quotient.is_some() {
             return self.step_quotient(choices);
         }
-        if self.current().len() >= self.gen_quotient_min_worlds && self.quotient_frontier()? {
+        if self.gen_gate.admits(self.current().len()) && self.quotient_frontier()? {
             return self.step_quotient(choices);
         }
         let agents = self.ctx.agent_count();
@@ -764,13 +770,18 @@ impl<'c> SystemBuilder<'c> {
 
     /// Tries to fold the explicit frontier into a [`QuotientFrontier`]
     /// in place (nodes stay; the class structure is recorded alongside).
-    /// Returns `false` — leaving generation explicit — when the layer is
-    /// not eligible: under perfect recall a frontier holding *twins*
-    /// (distinct points that agree on every agent's local state and
-    /// differ only in global state) cannot be folded, because twin
-    /// points may sit in classes whose explicit fibers overlap without
-    /// coinciding, making exact multiplicities unrecoverable from
-    /// per-agent member sets.
+    /// Returns `false` — leaving generation explicit and putting a
+    /// decline in force on the gate — when the layer is not eligible or
+    /// not worth it. Not eligible: under perfect recall a frontier
+    /// holding *twins* (distinct points that agree on every agent's local
+    /// state and differ only in global state) cannot be folded, because
+    /// twin points may sit in classes whose explicit fibers overlap
+    /// without coinciding, making exact multiplicities unrecoverable from
+    /// per-agent member sets. Not worth it: the classes compress the
+    /// layer by less than
+    /// [`MIN_QUOTIENT_COMPRESSION`](kbp_kripke::MIN_QUOTIENT_COMPRESSION)
+    /// (judged before any member list is built; a forced gate folds
+    /// anyway).
     ///
     /// **Fiber invariant.** Folding a twin-free layer yields classes with
     /// pairwise *disjoint* fibers and pairwise distinct representative
@@ -793,6 +804,7 @@ impl<'c> SystemBuilder<'c> {
                 match seen.entry(node.locals()) {
                     Entry::Occupied(e) => {
                         if *e.get() != node.state {
+                            self.gen_gate.decline(n);
                             return Ok(false);
                         }
                     }
@@ -817,6 +829,9 @@ impl<'c> SystemBuilder<'c> {
             .bisimilarity_within(&props, &[], &[&state_split], &[])
             .map_err(|e| GenerateError::Quotient(e.to_string()))?;
         let k = classes.block_count();
+        if self.gen_gate.judge(n, k) {
+            return Ok(false);
+        }
         let mut reps = Vec::with_capacity(k);
         let mut multiplicity = Vec::with_capacity(k);
         let mut members: Vec<Vec<Vec<LocalId>>> = vec![Vec::with_capacity(k); agents];
@@ -1718,6 +1733,75 @@ mod tests {
                 assert!(layer.quotient().is_none(), "explicit frontier");
             }
             assert_eq!(b.frontier_locals().len(), 32 + 1);
+        }
+    }
+
+    /// A counter the environment may advance or leave, observed exactly:
+    /// every point has its own global state, so no fold compresses.
+    /// Under observational recall the frontier grows by one per layer
+    /// (one point per counter value); `start` sets how many counters
+    /// exist at layer 0 when `advance` is off (constant width).
+    fn counter_context(start: u32, advance: bool) -> FnContext {
+        let mut voc = Vocabulary::new();
+        let a = voc.add_agent("watcher");
+        ContextBuilder::new(voc)
+            .initial_states((0..start).map(|c| GlobalState::new(vec![c])))
+            .agent_actions(a, ["noop"])
+            .env_actions(["stay", "advance"])
+            .env_protocol(move |_| {
+                if advance {
+                    vec![EnvActionId(0), EnvActionId(1)]
+                } else {
+                    vec![EnvActionId(0)]
+                }
+            })
+            .transition(|s, j| s.with_reg(0, s.reg(0) + j.env.0))
+            .observe(|_, s| Obs(u64::from(s.reg(0))))
+            .props(|_, _| false)
+            .build()
+    }
+
+    #[test]
+    fn declined_fusion_backs_off_until_the_frontier_doubles() {
+        let noop = |_: &LocalView<'_>| vec![ActionId(0)];
+
+        // Widths 1, 2, 3, … : attempts (each declined) at 1, 2, 4 and 8.
+        let ctx = counter_context(1, true);
+        let mut b = SystemBuilder::new(&ctx, Recall::Observational).unwrap();
+        b.set_gen_quotient_min_worlds(1);
+        let mut attempted = Vec::new();
+        for t in 0..9 {
+            let width = b.current().len();
+            assert_eq!(width, t + 1);
+            if b.gen_gate.admits(width) {
+                attempted.push(width);
+            }
+            b.step_with(&noop).unwrap();
+            assert!(b.layer(t).quotient().is_none(), "no fold compresses");
+            assert_eq!(b.gen_gate.declined_at(), attempted.last().copied());
+        }
+        assert_eq!(attempted, [1, 2, 4, 8]);
+        // A clone keeps the decline in force.
+        assert_eq!(b.clone().gen_gate, b.gen_gate);
+
+        // Constant width 4: one declined attempt at layer 0, then never.
+        let ctx = counter_context(4, false);
+        let mut b = SystemBuilder::new(&ctx, Recall::Perfect).unwrap();
+        b.set_gen_quotient_min_worlds(1);
+        assert!(b.gen_gate.admits(4));
+        for _ in 0..6 {
+            b.step_with(&noop).unwrap();
+            assert_eq!(b.current().len(), 4);
+            assert_eq!(b.gen_gate.declined_at(), Some(4));
+            assert!(!b.gen_gate.admits(4), "constant width is never retried");
+        }
+
+        // Forced, the same frontier folds on every layer.
+        let mut b = SystemBuilder::new(&ctx, Recall::Perfect).unwrap();
+        b.set_gen_quotient_min_worlds(0);
+        for _ in 0..3 {
+            b.step_with(&noop).unwrap();
+            assert!(b.current().is_reduced());
         }
     }
 
