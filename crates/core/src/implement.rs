@@ -76,7 +76,11 @@ impl ImplementationReport {
         &self.system
     }
 
-    /// Number of `(point, agent)` pairs compared.
+    /// Number of `(point, agent)` pairs compared, counted in
+    /// explicit-equivalent points: on a layer generated as bisimulation
+    /// representatives, a representative counts once for every explicit
+    /// point its class stands for, so the count does not depend on the
+    /// fused-generation gate.
     #[must_use]
     pub fn points_checked(&self) -> usize {
         self.points_checked
@@ -223,9 +227,11 @@ pub(crate) fn compare_with_sets(
         offset += program.clauses().len();
 
         for t in 0..system.layer_count() {
+            let layer = system.layer(t);
+            let reduced = layer.quotient().filter(|_| layer.is_reduced());
             // Check guard locality within the layer while we're at it.
             let mut by_local: HashMap<kbp_systems::LocalId, Vec<bool>> = HashMap::new();
-            for node in 0..system.layer(t).len() {
+            for node in 0..layer.len() {
                 let point = Point { time: t, node };
                 let truths: Vec<bool> = clause_sets.iter().map(|s| s[t].contains(node)).collect();
                 let local = system.local(agent, point);
@@ -256,7 +262,11 @@ pub(crate) fn compare_with_sets(
                 });
                 prescribed.sort_unstable();
                 prescribed.dedup();
-                points_checked += 1;
+                // A reduced layer's node `k` is the representative of
+                // class `k`.
+                points_checked = points_checked.saturating_add(reduced.map_or(1, |q| {
+                    usize::try_from(q.multiplicity(node)).unwrap_or(usize::MAX)
+                }));
                 if induced != prescribed {
                     mismatches.push(Mismatch {
                         agent,

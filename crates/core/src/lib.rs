@@ -86,5 +86,4 @@ pub use parse::{parse_kbp, ProgramParseError};
 pub use program::{AgentProgram, Clause, Kbp, KbpBuilder, KbpError};
 pub use solve::{
     EngineSession, PartialSolution, Solution, SolveError, SolveOutcome, SolveStats, SyncSolver,
-    DEFAULT_CARRY_THRESHOLD,
 };

@@ -18,13 +18,11 @@
 
 use crate::budget::{Budget, BudgetExhausted, LayerStats, Resource};
 use crate::program::{Kbp, KbpError};
-use kbp_kripke::{
-    BitSet, EvalCache, EvalCacheSnapshot, EvalEngine, EvalError, QuotientGate, ThreadConfigError,
-};
+use kbp_kripke::{BitSet, EvalCache, EvalCacheSnapshot, EvalEngine, EvalError};
 use kbp_logic::{Agent, FormulaArena, FormulaId};
 use kbp_systems::{
-    layer_renaming, ActionId, Context, GenerateError, InterpretedSystem, LocalId, MapProtocol,
-    Recall, StepChoices, SystemBuilder,
+    ActionId, Context, GenerateError, InterpretedSystem, LocalId, MapProtocol, Recall, StepChoices,
+    SystemBuilder,
 };
 use std::error::Error;
 use std::fmt;
@@ -75,9 +73,6 @@ pub enum SolveError {
     /// partial result to return; use
     /// [`SyncSolver::solve_budgeted`] to recover the work done so far).
     Budget(BudgetExhausted),
-    /// A thread-count environment variable (`KBP_EVAL_THREADS`) held a
-    /// value that cannot mean a worker-pool size.
-    Config(ThreadConfigError),
 }
 
 impl fmt::Display for SolveError {
@@ -112,7 +107,6 @@ impl fmt::Display for SolveError {
                  length-{history_len} history (internal error)"
             ),
             SolveError::Budget(e) => write!(f, "{e}"),
-            SolveError::Config(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }
@@ -123,7 +117,6 @@ impl Error for SolveError {
             SolveError::Kbp(e) => Some(e),
             SolveError::Generate(e) => Some(e),
             SolveError::Eval(e) => Some(e),
-            SolveError::Config(e) => Some(e),
             _ => None,
         }
     }
@@ -162,32 +155,15 @@ pub struct SolveStats {
     /// evaluation engine interns every guard into one shared arena, so
     /// this is always 1 for a solve.
     pub arenas: usize,
-    /// Layers whose satisfaction sets were carried forward from the
-    /// previous layer through a verified isomorphism instead of being
-    /// recomputed (see `kbp_systems::layer_renaming`).
-    pub layers_carried: usize,
     /// Layers whose satisfaction sets were restored from an
     /// [`EngineSession`]'s cross-request snapshot instead of being
     /// evaluated (warm artifact-cache hits; always `0` for solves without
     /// a session).
     pub layers_restored: usize,
-    /// Layers whose kernel plan split the world range into more than one
-    /// shard ([`LayerStats::shards`] > 1). Like `shards`, this is a pure
-    /// function of the thread/sharding configuration and layer widths, so
-    /// it is stable across cache states; it does vary with the configured
-    /// thread count and is therefore excluded from wire-level stats.
-    pub layers_sharded: usize,
-    /// Layers whose evaluation ran on a strictly smaller bisimulation
-    /// quotient ([`LayerStats::quotient_worlds`] > 0 and < `points`).
-    /// Unlike `layers_sharded` this reflects cache warmth as well as
-    /// configuration: carried/restored layers skip the fill entirely and
-    /// never engage the quotient stage.
-    pub layers_quotiented: usize,
     /// Layers *generated* as strictly fewer bisimulation representatives
     /// than their explicit-equivalent width by the fused step+quotient
     /// path ([`LayerStats::gen_quotient_worlds`] > 0 and < `points`).
-    /// A property of generation, not of evaluation scheduling: such
-    /// layers were never resident explicitly.
+    /// Such layers were never resident explicitly.
     pub layers_gen_quotiented: usize,
 }
 
@@ -347,18 +323,6 @@ impl SolveOutcome {
     }
 }
 
-/// Default minimum layer width (points in the frontier) before the
-/// solver attempts the `layer_renaming` carry-forward certificate.
-///
-/// On very small layers the 1-WL proposal plus full isomorphism
-/// verification costs about as much as simply refilling the cache
-/// (EXPERIMENTS.md E14, bit-transmission row), so carry-forward below
-/// this width is a net loss; from this width up the renaming is
-/// measurably cheaper than re-evaluation. The threshold is a pure
-/// function of the layer, so `SolveStats::layers_carried` stays
-/// deterministic for a given configuration.
-pub const DEFAULT_CARRY_THRESHOLD: usize = 32;
-
 /// A reusable cross-request solving session: the interned-arena
 /// [`EvalEngine`] plus per-layer [`EvalCacheSnapshot`]s from earlier
 /// solves, rehydrated by
@@ -386,44 +350,13 @@ pub struct EngineSession {
 }
 
 impl EngineSession {
-    /// Creates an empty session with the default engine thread policy.
+    /// Creates an empty session.
     #[must_use]
     pub fn new() -> Self {
         EngineSession {
             engine: EvalEngine::new(FormulaArena::new()),
             layers: Vec::new(),
         }
-    }
-
-    /// Like [`new`](Self::new), but a malformed `KBP_EVAL_THREADS` value
-    /// is surfaced as a typed error instead of being ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThreadConfigError`] for an unusable `KBP_EVAL_THREADS`
-    /// value.
-    pub fn from_env() -> Result<Self, ThreadConfigError> {
-        Ok(EngineSession {
-            engine: EvalEngine::from_env(FormulaArena::new())?,
-            layers: Vec::new(),
-        })
-    }
-
-    /// Overrides the engine's worker-thread count for subsequent solves.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.engine.set_threads(threads);
-    }
-
-    /// Overrides the engine's intra-layer sharding gate for subsequent
-    /// solves (see [`SyncSolver::shard_min_worlds`]).
-    pub fn set_shard_min_worlds(&mut self, worlds: usize) {
-        self.engine.set_shard_min_worlds(worlds);
-    }
-
-    /// Overrides the engine's layer-quotient gate for subsequent solves
-    /// (see [`SyncSolver::quotient_min_worlds`]).
-    pub fn set_quotient_min_worlds(&mut self, worlds: usize) {
-        self.engine.set_quotient_min_worlds(worlds);
     }
 
     /// Number of layers with a stored snapshot.
@@ -454,13 +387,10 @@ impl Default for EngineSession {
 }
 
 // A session persists as its interned arena plus the per-layer snapshot
-// store — exactly the state that makes a warm solve skip work. Engine
-// runtime policy (thread count, sharding gate) is deliberately *not*
-// persisted: a reloaded session adopts the current process
-// configuration, keeping "same env ⇒ same wire bytes" true across
-// restarts. Rebuilding the engine from the serialized arena keeps every
-// stored `FormulaId` aligned, because hash-consed re-interning is
-// deterministic over a fixed node list.
+// store — exactly the state that makes a warm solve skip work.
+// Rebuilding the engine from the serialized arena keeps every stored
+// `FormulaId` aligned, because hash-consed re-interning is deterministic
+// over a fixed node list.
 impl serde::Serialize for EngineSession {
     fn serialize<S: serde::ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct;
@@ -537,12 +467,7 @@ pub struct SyncSolver<'a> {
     recall: Recall,
     node_limit: Option<usize>,
     budget: Budget,
-    eval_threads: Option<usize>,
-    shard_min_worlds: Option<usize>,
-    quotient_min_worlds: Option<usize>,
     gen_quotient_min_worlds: Option<usize>,
-    carry_forward: bool,
-    carry_threshold: usize,
 }
 
 impl fmt::Debug for SyncSolver<'_> {
@@ -567,12 +492,7 @@ impl<'a> SyncSolver<'a> {
             recall: Recall::Perfect,
             node_limit: None,
             budget: Budget::default(),
-            eval_threads: None,
-            shard_min_worlds: None,
-            quotient_min_worlds: None,
             gen_quotient_min_worlds: None,
-            carry_forward: true,
-            carry_threshold: DEFAULT_CARRY_THRESHOLD,
         }
     }
 
@@ -605,53 +525,13 @@ impl<'a> SyncSolver<'a> {
         self
     }
 
-    /// Sets the guard-evaluation worker-thread count (default: the
-    /// `KBP_EVAL_THREADS` environment variable if set, else
-    /// [`std::thread::available_parallelism`]). `1` forces the sequential
-    /// path; the solution is bit-identical for every value.
-    #[must_use]
-    pub fn eval_threads(mut self, threads: usize) -> Self {
-        self.eval_threads = Some(threads.max(1));
-        self
-    }
-
-    /// Sets the minimum layer width (worlds) before the evaluation
-    /// kernels split a single layer into world-range shards (default: the
-    /// `KBP_SHARD_MIN_WORLDS` environment variable if set, else
-    /// [`kbp_kripke::DEFAULT_SHARD_MIN_WORLDS`]). `0` shards every layer
-    /// wide enough to have more than one 64-world word; `usize::MAX`
-    /// disables intra-layer sharding. The solution is bit-identical for
-    /// every value — only [`LayerStats::shards`] and wall-clock change.
-    #[must_use]
-    pub fn shard_min_worlds(mut self, worlds: usize) -> Self {
-        self.shard_min_worlds = Some(worlds);
-        self
-    }
-
-    /// Sets the minimum layer width (worlds) before the engine quotients a
-    /// layer by agent-indistinguishability bisimulation and evaluates
-    /// epistemic guards on the quotient (default: the
-    /// `KBP_QUOTIENT_MIN_WORLDS` environment variable if set, else
-    /// [`kbp_kripke::DEFAULT_QUOTIENT_MIN_WORLDS`]). Once a layer's
-    /// quotient compresses by less than
-    /// [`kbp_kripke::MIN_QUOTIENT_COMPRESSION`], later layers skip the
-    /// stage until the frontier has grown by that factor (see
-    /// [`kbp_kripke::QuotientGate`]). `0` quotients every layer with an
-    /// epistemic guard, whatever the compression; `usize::MAX` disables
-    /// the stage. The solution is bit-identical for every value — only
-    /// [`LayerStats::quotient_worlds`] and wall-clock change.
-    #[must_use]
-    pub fn quotient_min_worlds(mut self, worlds: usize) -> Self {
-        self.quotient_min_worlds = Some(worlds);
-        self
-    }
-
     /// Sets the minimum frontier width (points) before the builder's
     /// fused step+quotient generation path engages (default: the
     /// `KBP_GEN_QUOTIENT_MIN_WORLDS` environment variable if set, else
-    /// [`kbp_kripke::DEFAULT_GEN_QUOTIENT_MIN_WORLDS`]), under the same
-    /// compression feedback as
-    /// [`quotient_min_worlds`](Self::quotient_min_worlds). `0` generates
+    /// [`kbp_kripke::DEFAULT_GEN_QUOTIENT_MIN_WORLDS`]). Once a fold
+    /// compresses by less than [`kbp_kripke::MIN_QUOTIENT_COMPRESSION`],
+    /// later layers skip it until the frontier has grown by that factor
+    /// (see [`kbp_kripke::QuotientGate`]). `0` generates
     /// every layer as bisimulation representatives with multiplicities;
     /// `usize::MAX` keeps generation explicit. The solution is
     /// bit-identical for every value — only which points are resident
@@ -659,32 +539,6 @@ impl<'a> SyncSolver<'a> {
     #[must_use]
     pub fn gen_quotient_min_worlds(mut self, worlds: usize) -> Self {
         self.gen_quotient_min_worlds = Some(worlds);
-        self
-    }
-
-    /// Enables or disables cross-layer cache carry-forward (default: on).
-    /// When consecutive layers are certified isomorphic by
-    /// [`kbp_systems::layer_renaming`], guard satisfaction sets are mapped
-    /// through the renaming instead of recomputed; disabling this is only
-    /// useful for benchmarking, as outputs are identical either way.
-    #[must_use]
-    pub fn carry_forward(mut self, enabled: bool) -> Self {
-        self.carry_forward = enabled;
-        self
-    }
-
-    /// Sets the minimum frontier width (points in the layer) before the
-    /// solver attempts carry-forward (default:
-    /// [`DEFAULT_CARRY_THRESHOLD`]). Below the threshold the
-    /// `layer_renaming` certificate costs about as much as refilling the
-    /// cache, so small layers are always re-evaluated; `0` attempts the
-    /// renaming on every layer. The threshold only affects where time is
-    /// spent ([`SolveStats::layers_carried`]) — solutions are identical
-    /// for every value, and `layers_carried` is deterministic for a
-    /// given configuration.
-    #[must_use]
-    pub fn carry_threshold(mut self, min_points: usize) -> Self {
-        self.carry_threshold = min_points;
         self
     }
 
@@ -784,20 +638,10 @@ impl<'a> SyncSolver<'a> {
                 (engine, Some(layers))
             }
             None => {
-                local_engine =
-                    EvalEngine::from_env(FormulaArena::new()).map_err(SolveError::Config)?;
+                local_engine = EvalEngine::new(FormulaArena::new());
                 (&mut local_engine, None)
             }
         };
-        if let Some(threads) = self.eval_threads {
-            engine.set_threads(threads);
-        }
-        if let Some(worlds) = self.shard_min_worlds {
-            engine.set_shard_min_worlds(worlds);
-        }
-        if let Some(worlds) = self.quotient_min_worlds {
-            engine.set_quotient_min_worlds(worlds);
-        }
         let guard_ids: Vec<Vec<FormulaId>> = self
             .kbp
             .programs()
@@ -810,7 +654,7 @@ impl<'a> SyncSolver<'a> {
             })
             .collect();
         stats.arenas = 1;
-        // Every distinct guard root, for the sharded batch fill.
+        // Every distinct guard root, for the per-layer batch fill.
         let flat_ids: Vec<FormulaId> = {
             let mut v: Vec<FormulaId> = guard_ids.iter().flatten().copied().collect();
             v.sort_unstable();
@@ -819,10 +663,6 @@ impl<'a> SyncSolver<'a> {
         };
         // Interning is done; the rest of the solve only reads the engine.
         let engine: &EvalEngine = engine;
-        // The evaluation quotient's compression feedback, per unrolling.
-        let mut eval_gate = QuotientGate::new(engine.quotient_min_worlds());
-        // The per-layer cache persists across the loop so stabilised
-        // suffixes can carry satisfaction sets forward.
         let mut cache = EvalCache::new();
 
         let partial = |builder: SystemBuilder<'_>,
@@ -845,9 +685,8 @@ impl<'a> SyncSolver<'a> {
 
         for t in 0..=self.horizon {
             // `frontier` is the resident width (representatives on layers
-            // from the fused generation path) and governs everything tied
-            // to the layer's S5 model: snapshot keying, carry thresholds,
-            // kernel shard plans. `frontier_explicit` is the
+            // from the fused generation path) and keys the layer's
+            // snapshot, which is tied to its S5 model. `frontier_explicit` is the
             // explicit-equivalent width and governs everything with
             // *semantic* meaning: budgets and [`LayerStats::points`].
             let frontier = builder.current().len();
@@ -873,8 +712,8 @@ impl<'a> SyncSolver<'a> {
             // (taken by an earlier solve of the same context/program, and
             // keyed by the layer's world count as a cheap structural check)
             // already holds every root's satisfaction set — restore it and
-            // skip both the renaming and the sharded fill. The unrolling is
-            // deterministic, so layer `t` is identical across solves.
+            // skip the fill. The unrolling is deterministic, so layer `t`
+            // is identical across solves.
             let restored = layer_store
                 .as_deref()
                 .and_then(|store| store.get(t))
@@ -889,25 +728,8 @@ impl<'a> SyncSolver<'a> {
                 });
             if restored {
                 stats.layers_restored += 1;
-            } else if t > 0 {
-                // Cross-layer carry-forward: if the new frontier is
-                // isomorphic to the previous layer under a *verified*
-                // renaming, guard satisfaction is preserved pointwise
-                // (solver guards are past-free, hence layer-static) — map
-                // the cache through the renaming instead of recomputing.
-                // On layers below the width threshold the certificate
-                // costs about as much as refilling, so skip it there.
-                let carried = self.carry_forward
-                    && frontier >= self.carry_threshold
-                    && layer_renaming(builder.layer(t - 1), builder.current())
-                        .and_then(|r| cache.carried_forward(&r).ok())
-                        .map(|c| cache = c)
-                        .is_some();
-                if carried {
-                    stats.layers_carried += 1;
-                } else {
-                    cache.clear();
-                }
+            } else {
+                cache.clear();
             }
             self.induce_layer(
                 &builder,
@@ -915,7 +737,6 @@ impl<'a> SyncSolver<'a> {
                 &mut choices,
                 &mut stats,
                 engine,
-                eval_gate.admits(frontier),
                 &guard_ids,
                 &flat_ids,
                 &mut cache,
@@ -932,33 +753,6 @@ impl<'a> SyncSolver<'a> {
                     store[t] = Some((frontier, cache.snapshot()));
                 }
             }
-            // Record the kernel shard plan for the layer. The plan is a
-            // pure function of the configuration and the width the kernels
-            // actually ran at: the quotient width when the engine's
-            // quotient stage engaged on this fill, the frontier width
-            // otherwise (including restored/carried layers, which skip the
-            // fill and leave no quotient behind).
-            let quotient_worlds = cache.quotient_worlds();
-            if quotient_worlds > 0 {
-                eval_gate.judge(frontier, quotient_worlds);
-            }
-            let effective = if quotient_worlds > 0 {
-                quotient_worlds.min(frontier)
-            } else {
-                frontier
-            };
-            let shards = engine.kernel_shards(effective);
-            if shards > 1 {
-                stats.layers_sharded += 1;
-            }
-            if quotient_worlds > 0 && quotient_worlds < frontier {
-                stats.layers_quotiented += 1;
-            }
-            let quotient_ratio = if quotient_worlds > 0 && frontier > 0 {
-                u32::try_from(quotient_worlds.saturating_mul(1000) / frontier).unwrap_or(u32::MAX)
-            } else {
-                0
-            };
             // Generation-side observability: a layer built by the fused
             // step+quotient path reports its resident representative count
             // and the compression against its explicit-equivalent width.
@@ -981,9 +775,6 @@ impl<'a> SyncSolver<'a> {
                 points: frontier_explicit,
                 guard_evaluations: stats.guard_evaluations - evals_before,
                 protocol_entries: stats.protocol_entries - entries_before,
-                shards,
-                quotient_worlds,
-                quotient_ratio,
                 gen_quotient_worlds,
                 gen_quotient_ratio,
             });
@@ -1030,8 +821,7 @@ impl<'a> SyncSolver<'a> {
 
     /// Evaluates every guard on the frontier layer and records the
     /// induced action set of every frontier local state in `choices`,
-    /// which accumulates the whole protocol by [`LocalId`]. The engine's
-    /// quotient stage may run only where `quotient` is set.
+    /// which accumulates the whole protocol by [`LocalId`].
     #[allow(clippy::too_many_arguments)]
     fn induce_layer(
         &self,
@@ -1040,7 +830,6 @@ impl<'a> SyncSolver<'a> {
         choices: &mut StepChoices,
         stats: &mut SolveStats,
         engine: &EvalEngine,
-        quotient: bool,
         guard_ids: &[Vec<FormulaId>],
         flat_ids: &[FormulaId],
         cache: &mut EvalCache,
@@ -1050,19 +839,10 @@ impl<'a> SyncSolver<'a> {
         let layer = builder.current();
         let model = layer.model();
 
-        // One sharded fill per layer covers all programs: a subformula
-        // used by several agents' guards is evaluated once, and
-        // independent guards run on separate workers. A carried-forward
-        // cache already holds every root, making this a no-op. A layer
-        // generated by the fused step+quotient path arrives pre-reduced —
-        // its worlds already are bisimulation classes — so the engine's
-        // own re-quotient stage is skipped for it, as it is while the
-        // stage's compression feedback holds it off.
-        if layer.is_reduced() || !quotient {
-            engine.populate_prereduced(model, cache, flat_ids)?;
-        } else {
-            engine.populate(model, cache, flat_ids)?;
-        }
+        // One fill per layer covers all programs: a subformula used by
+        // several agents' guards is evaluated once. A restored cache
+        // already holds every root, making this a no-op.
+        engine.populate(model, cache, flat_ids)?;
         // Per program: the first world at which each local state occurs
         // (dense by `LocalId`), the local states in first-occurrence
         // order, and the induced action set per world, computed once.
@@ -1159,10 +939,7 @@ serde::impl_serde_struct!(SolveStats {
     protocol_entries,
     guard_evaluations,
     arenas,
-    layers_carried,
     layers_restored,
-    layers_sharded,
-    layers_quotiented,
     layers_gen_quotiented,
 });
 
@@ -1539,22 +1316,5 @@ mod tests {
             .solve_budgeted_with(&mut session)
             .unwrap();
         assert_eq!(again.solution().unwrap().stats().layers_restored, 0);
-    }
-
-    #[test]
-    fn carry_threshold_gates_tiny_layers() {
-        let ctx = peek_announce_context();
-        let kbp = peek_announce_kbp();
-        // Layers here have ≤ 4 points: the default threshold (32) must
-        // suppress every carry attempt, and forcing the threshold to 0
-        // must leave the answer untouched.
-        let default_sol = SyncSolver::new(&ctx, &kbp).horizon(4).solve().unwrap();
-        assert_eq!(default_sol.stats().layers_carried, 0);
-        let eager_sol = SyncSolver::new(&ctx, &kbp)
-            .horizon(4)
-            .carry_threshold(0)
-            .solve()
-            .unwrap();
-        assert_eq!(*eager_sol.protocol(), *default_sol.protocol());
     }
 }

@@ -17,7 +17,6 @@ fn run_kbpd(envs: &[(&str, &str)], input: &str) -> std::process::Output {
         "KBP_SERVICE_WORKERS",
         "KBP_SERVICE_QUEUE",
         "KBP_SERVICE_CACHE",
-        "KBP_EVAL_THREADS",
     ] {
         cmd.env_remove(var);
     }
@@ -42,13 +41,16 @@ fn run_kbpd(envs: &[(&str, &str)], input: &str) -> std::process::Output {
 
 #[test]
 fn golden_three_job_batch() {
-    // Worker count and cache state must not change a byte of output:
-    // run the same batch under several configurations.
+    // Worker count, cache state and fused generation must not change a
+    // byte of output: run the same batch under several configurations.
     for envs in [
         &[("KBP_SERVICE_WORKERS", "1")][..],
         &[("KBP_SERVICE_WORKERS", "2")][..],
         &[("KBP_SERVICE_WORKERS", "4"), ("KBP_SERVICE_CACHE", "off")][..],
-        &[("KBP_SERVICE_WORKERS", "2"), ("KBP_EVAL_THREADS", "2")][..],
+        &[
+            ("KBP_SERVICE_WORKERS", "2"),
+            ("KBP_GEN_QUOTIENT_MIN_WORLDS", "0"),
+        ][..],
     ] {
         let output = run_kbpd(envs, INPUT);
         assert!(output.status.success(), "kbpd failed under {envs:?}");

@@ -77,7 +77,7 @@ pub use eval::{satisfying_layers, satisfying_layers_with, Evaluator};
 pub use explain::KnowledgeExplanation;
 pub use protocol::{FullProtocol, LocalView, MapProtocol, ProtocolFn};
 pub use runs::Run;
-pub use stabilize::{layer_renaming, LayerSignature};
+pub use stabilize::LayerSignature;
 pub use state::{GlobalState, LocalId, LocalTable, Obs, StateId, StateTable};
 pub use system::{
     generate, generate_until_stable, GenerateError, InterpretedSystem, Layer, Node, Point,

@@ -16,16 +16,10 @@
 //! digest collisions) for the partition-structured layers that arise in
 //! practice; it is documented as a *certificate heuristic*: equal
 //! signatures strongly indicate stabilisation, unequal signatures prove
-//! its absence. When a *sound* certificate is needed — e.g. to carry
-//! satisfaction sets across layers — [`layer_renaming`] upgrades the
-//! heuristic: it uses the stable colours only to *propose* a node
-//! bijection and then verifies it is a genuine S5 isomorphism
-//! (state-preserving, valuation-preserving, partition-preserving), so a
-//! returned renaming is correct regardless of 1-WL's completeness.
+//! its absence.
 
 use crate::system::{InterpretedSystem, Layer};
-use kbp_logic::PropId;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// A canonical fingerprint of one layer, comparable across layers of the
 /// same system.
@@ -63,10 +57,8 @@ fn mix(mut x: u64) -> u64 {
 /// costs Θ(n·agents) time and memory. The price is the usual one for
 /// fingerprinting: a 64-bit collision could make two structurally
 /// different layers *look* equal. The signature was always documented
-/// as a certificate heuristic, and the sound consumer
-/// ([`layer_renaming`]) verifies every proposed bijection before use,
-/// so a collision can only cost a spurious heuristic answer, never a
-/// wrong carried satisfaction set.
+/// as a certificate heuristic, so a collision can only cost a spurious
+/// heuristic answer.
 fn stable_colours(layer: &Layer) -> Vec<u64> {
     let n = layer.len();
     let model = layer.model();
@@ -221,131 +213,8 @@ impl InterpretedSystem {
     }
 }
 
-/// A **verified** S5 isomorphism from `to`'s nodes onto `from`'s nodes,
-/// as `renaming[i] = j`: node `i` of `to` corresponds to node `j` of
-/// `from`. Returns `None` when the layers are not isomorphic (or the
-/// colour heuristic fails to find a witness).
-///
-/// The candidate bijection is proposed cheaply — identity first, then a
-/// smallest-index matching of equal stable-colour classes — but every
-/// candidate is checked to be a genuine isomorphism before it is
-/// returned: equal length, equal interned global states under the
-/// renaming, equal proposition valuations, and each agent's
-/// indistinguishability blocks mapping bijectively onto blocks. A
-/// `Some` result is therefore *sound* independent of 1-WL completeness;
-/// incompleteness can only cost a missed renaming.
-///
-/// This is the certificate behind cross-layer cache carry-forward (see
-/// `kbp_kripke::EvalCache::carried_forward`): satisfaction of every
-/// non-temporal formula is invariant under S5 isomorphism, so cached
-/// sets for `from` map pointwise to `to` through the renaming.
-#[must_use]
-pub fn layer_renaming(from: &Layer, to: &Layer) -> Option<Vec<u32>> {
-    let n = from.len();
-    if n != to.len() {
-        return None;
-    }
-    let identity: Vec<u32> = (0..n as u32).collect();
-    if verify_renaming(from, to, &identity) {
-        return Some(identity);
-    }
-    let colours_from = stable_colours(from);
-    let colours_to = stable_colours(to);
-    // Group `from`-nodes by colour digest (digests are pure functions of
-    // structure, hence the cross-layer currency), ascending index; match
-    // each `to`-node to the first unused same-colour `from`-node
-    // (deterministic).
-    let mut pool: BTreeMap<u64, VecDeque<u32>> = BTreeMap::new();
-    for (j, &c) in colours_from.iter().enumerate() {
-        pool.entry(c).or_default().push_back(j as u32);
-    }
-    let mut renaming = Vec::with_capacity(n);
-    for c in &colours_to {
-        renaming.push(pool.get_mut(c)?.pop_front()?);
-    }
-    if verify_renaming(from, to, &renaming) {
-        Some(renaming)
-    } else {
-        None
-    }
-}
-
-/// Checks that `renaming` (to-index → from-index) is an S5 isomorphism.
-fn verify_renaming(from: &Layer, to: &Layer, renaming: &[u32]) -> bool {
-    let n = from.len();
-    // Bijectivity.
-    let mut hit = vec![false; n];
-    for &j in renaming {
-        let Some(slot) = hit.get_mut(j as usize) else {
-            return false;
-        };
-        if *slot {
-            return false;
-        }
-        *slot = true;
-    }
-    // Interned global states agree (states live in one shared table, so
-    // equal ids mean equal states).
-    let (from_nodes, to_nodes) = (from.nodes(), to.nodes());
-    for i in 0..n {
-        if to_nodes[i].state() != from_nodes[renaming[i] as usize].state() {
-            return false;
-        }
-    }
-    let (mf, mt) = (from.model(), to.model());
-    // Valuations agree pointwise (redundant given equal states when props
-    // are functions of the state, but it keeps the certificate
-    // self-contained).
-    if mf.prop_count() != mt.prop_count() {
-        return false;
-    }
-    for p in 0..mt.prop_count() {
-        let pf = mf.prop_worlds(PropId::new(p as u32));
-        let pt = mt.prop_worlds(PropId::new(p as u32));
-        for (i, &j) in renaming.iter().enumerate() {
-            if pt.contains(i) != pf.contains(j as usize) {
-                return false;
-            }
-        }
-    }
-    // Each agent's partition maps blocks onto blocks, injectively. With
-    // equal block counts and every block image contained in its target
-    // (|to-block| ≤ |from-block| summing to n on both sides), this forces
-    // a size-preserving bijection of blocks.
-    if mf.agent_count() != mt.agent_count() {
-        return false;
-    }
-    for a in 0..mt.agent_count() {
-        let pf = mf.partition(kbp_logic::Agent::new(a));
-        let pt = mt.partition(kbp_logic::Agent::new(a));
-        if pf.block_count() != pt.block_count() {
-            return false;
-        }
-        let (bf, bt) = (pf.block_ids(), pt.block_ids());
-        let mut image: Vec<Option<u32>> = vec![None; pt.block_count()];
-        let mut used = vec![false; pf.block_count()];
-        for (i, &j) in renaming.iter().enumerate() {
-            let tb = bt[i] as usize;
-            let fb = bf[j as usize];
-            match image[tb] {
-                None => {
-                    if used[fb as usize] {
-                        return false;
-                    }
-                    used[fb as usize] = true;
-                    image[tb] = Some(fb);
-                }
-                Some(x) if x != fb => return false,
-                Some(_) => {}
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
-    use super::layer_renaming;
     use crate::context::{ActionId, ContextBuilder, EnvActionId};
     use crate::protocol::LocalView;
     use crate::state::{GlobalState, Obs};
@@ -453,34 +322,5 @@ mod tests {
         let seen = mk(true).layer_signature(0);
         let blind = mk(false).layer_signature(0);
         assert_ne!(seen, blind);
-    }
-
-    #[test]
-    fn renaming_found_between_stabilized_layers() {
-        // The flipping-bit system stabilises at layer 1: layers 1..=4 are
-        // pairwise isomorphic.
-        let mut voc = Vocabulary::new();
-        let a = voc.add_agent("x");
-        let ctx = ContextBuilder::new(voc)
-            .initial_state(GlobalState::new(vec![0]))
-            .agent_actions(a, ["noop"])
-            .env_protocol(|_| vec![EnvActionId(0), EnvActionId(1)])
-            .transition(|s, j| s.with_reg(0, j.env.0))
-            .observe(|_, s| Obs(u64::from(s.reg(0))))
-            .props(|_, _| false)
-            .build();
-        let noop = |_: &LocalView<'_>| vec![ActionId(0)];
-        let sys = generate(&ctx, &noop, Recall::Observational, 4).unwrap();
-        let r = layer_renaming(sys.layer(1), sys.layer(2)).expect("isomorphic layers");
-        assert_eq!(r.len(), sys.layer(1).len());
-        // The renaming preserves interned states.
-        for (i, &j) in r.iter().enumerate() {
-            assert_eq!(
-                sys.layer(2).nodes()[i].state(),
-                sys.layer(1).nodes()[j as usize].state()
-            );
-        }
-        // Non-isomorphic layers (different sizes) yield no renaming.
-        assert!(layer_renaming(sys.layer(0), sys.layer(1)).is_none());
     }
 }

@@ -1,26 +1,23 @@
-//! One solve of a benchmark instance under whatever `KBP_*` engine gates
-//! the environment sets, for measuring what each gate buys.
+//! One solve of a benchmark instance under whatever fused-generation gate
+//! the environment sets, for measuring what the gate buys.
 //!
 //! The benchmark runner (`perfbench/`) strips every `KBP_*` variable so
 //! that it measures library defaults only; this example is its
 //! counterpart for gate studies. It builds the instance, runs one
 //! `SyncSolver::solve` with nothing configured in code (so
-//! `KBP_EVAL_THREADS`, `KBP_SHARD_MIN_WORLDS`, `KBP_QUOTIENT_MIN_WORLDS`
-//! and `KBP_GEN_QUOTIENT_MIN_WORLDS` take effect) and prints one line:
-//! wall-clock seconds, peak RSS (`VmHWM`), protocol entries, and on how
-//! many layers fused generation, the evaluation quotient and kernel
-//! sharding engaged (and how many of them compressed) — the evidence that
-//! a gate setting took effect.
+//! `KBP_GEN_QUOTIENT_MIN_WORLDS`, the engine's one knob, takes effect)
+//! and prints one line: wall-clock seconds, peak RSS (`VmHWM`), protocol
+//! entries, and on how many layers fused generation engaged (and how many
+//! of them compressed) — the evidence that a gate setting took effect.
 //!
-//! Both quotient stages share one feedback rule
-//! (`kbp_kripke::QuotientGate`): a layer at least as wide as the stage's
-//! gate is folded, and a fold into more than half as many classes as
-//! worlds *declines* — fused generation then stays explicit, and both
-//! stages skip every later layer until the frontier has doubled since the
-//! decline. A gate of `0` forces its stage on every layer and never
-//! declines. The following lines replay that rule over the solve's
-//! per-layer stats and print each stage's decisions: where it converted
-//! or kept its quotient, and where (at which width) it declined.
+//! The gate (`kbp_kripke::QuotientGate`) folds a layer at least as wide
+//! as its threshold, and a fold into more than half as many classes as
+//! worlds *declines*: generation then stays explicit and skips every
+//! later layer until the frontier has doubled since the decline. A gate
+//! of `0` folds every layer and never declines. The following lines
+//! replay that rule over the solve's per-layer stats and print each
+//! decision: where fused generation converted, and where (at which width)
+//! it declined.
 //!
 //! Run with: `cargo run --release --example engine_gates -- [muddy|witness]`
 //! (`muddy` = muddy children n=13 to horizon 14, the default; `witness` =
@@ -28,8 +25,7 @@
 //! horizon 12 — do not turn fused generation off for it: explicitly it
 //! needs tens of GiB).
 
-use knowledge_programs::kbp_kripke::{EvalEngine, QuotientGate};
-use knowledge_programs::kbp_logic::FormulaArena;
+use knowledge_programs::kbp_kripke::QuotientGate;
 use knowledge_programs::prelude::*;
 use std::time::Instant;
 
@@ -42,30 +38,13 @@ fn peak_rss_mib() -> Option<u64> {
     Some(kb / 1024)
 }
 
-/// Each quotient stage's decisions, replayed from the per-layer stats
-/// through the gates the solve ran with. The evaluation stage ran on a
-/// layer iff it reports `quotient_worlds`; fused generation tried to fold
-/// an explicit layer its gate admitted, and converted iff the next layer
-/// came out reduced.
-fn gate_decisions(per_layer: &[LayerStats], eval_gate: usize, gen_gate: usize) -> Vec<String> {
-    let mut eval = QuotientGate::new(eval_gate);
+/// Fused generation's decisions, replayed from the per-layer stats
+/// through the gate the solve ran with: it tried to fold an explicit layer
+/// its gate admitted, and converted iff the next layer came out reduced.
+fn gate_decisions(per_layer: &[LayerStats], gen_gate: usize) -> Vec<String> {
     let mut gen = QuotientGate::new(gen_gate);
     let mut lines = Vec::new();
-    for (i, l) in per_layer.iter().enumerate() {
-        if l.quotient_worlds > 0 {
-            let verdict = if eval.judge(l.points, l.quotient_worlds) {
-                "declined"
-            } else {
-                "kept"
-            };
-            lines.push(format!(
-                "eval quotient {verdict} at layer {} ({} worlds -> {} classes)",
-                l.layer, l.points, l.quotient_worlds
-            ));
-        }
-        let Some(next) = per_layer.get(i + 1) else {
-            continue;
-        };
+    for (l, next) in per_layer.iter().zip(per_layer.iter().skip(1)) {
         if l.gen_quotient_worlds == 0 && gen.admits(l.points) {
             let verdict = if next.gen_quotient_worlds > 0 {
                 "converted"
@@ -99,25 +78,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let solution = SyncSolver::new(&ctx, &kbp).horizon(horizon).solve()?;
     let seconds = started.elapsed().as_secs_f64();
     let stats = solution.stats();
-    let engaged =
-        |f: fn(&LayerStats) -> usize| solution.per_layer().iter().filter(|l| f(l) > 0).count();
+    let fused = solution
+        .per_layer()
+        .iter()
+        .filter(|l| l.gen_quotient_worlds > 0)
+        .count();
     println!(
-        "{which}: {seconds:.3} s, {} MiB peak, {} entries, {} layers; fused generation on {} \
-         ({} compressed), eval quotient on {} ({} compressed), {} sharded",
+        "{which}: {seconds:.3} s, {} MiB peak, {} entries, {} layers; fused generation on {fused} \
+         ({} compressed)",
         peak_rss_mib().unwrap_or(0),
         stats.protocol_entries,
         stats.layers,
-        engaged(|l| l.gen_quotient_worlds),
         stats.layers_gen_quotiented,
-        engaged(|l| l.quotient_worlds),
-        stats.layers_quotiented,
-        stats.layers_sharded,
     );
-    // The gates in force, read the way the solve read them.
-    let eval_gate = EvalEngine::from_env(FormulaArena::new())?.quotient_min_worlds();
+    // The gate in force, read the way the solve read it.
     let gen_gate = SystemBuilder::new(&ctx, Recall::Perfect)?.gen_quotient_min_worlds();
-    println!("  gates: eval quotient {eval_gate}, fused generation {gen_gate}");
-    for line in gate_decisions(solution.per_layer(), eval_gate, gen_gate) {
+    println!("  gate: fused generation {gen_gate}");
+    for line in gate_decisions(solution.per_layer(), gen_gate) {
         println!("  {line}");
     }
     Ok(())

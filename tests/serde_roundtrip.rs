@@ -86,9 +86,6 @@ fn solve_diagnostics_roundtrip() {
         points: 17,
         guard_evaluations: 51,
         protocol_entries: 9,
-        shards: 2,
-        quotient_worlds: 6,
-        quotient_ratio: 352,
         gen_quotient_worlds: 5,
         gen_quotient_ratio: 294,
     };

@@ -1,8 +1,9 @@
 //! Service-level determinism: the same batch of jobs must produce
 //! bit-identical JSON responses regardless of worker count and of
 //! whether the cross-request artifact cache is enabled. This is the
-//! service counterpart of `parallel_determinism.rs` — worker scheduling
-//! and cache warmth are performance knobs, never semantic ones.
+//! service counterpart of `gen_quotient_crosscheck.rs` — worker
+//! scheduling, cache warmth and fused generation are performance knobs,
+//! never semantic ones.
 
 use kbp_core::Budget;
 use kbp_service::{registry, JobKind, JobRequest, Service, ServiceConfig};
@@ -83,28 +84,28 @@ fn batch_output_is_invariant_across_workers_and_cache() {
 }
 
 #[test]
-fn batch_output_is_invariant_under_forced_intra_layer_sharding() {
-    // Forcing the world-range sharding gate to 0 makes every solver
-    // inside the service shard any layer wider than one 64-world word —
+fn batch_output_is_invariant_under_forced_fusion() {
+    // Forcing the fused-generation gate to 0 makes every solver inside
+    // the service unroll on bisimulation representatives from layer 0 —
     // and must not move a single byte on the wire. The variable is read
-    // at engine construction (one engine per solve/session), so setting
-    // it here covers every job in the batch. Mutating the environment is
-    // safe precisely because of what this test asserts: responses do not
-    // depend on the sharding configuration.
+    // at builder construction (one builder per solve), so setting it here
+    // covers every job in the batch. Mutating the environment is safe
+    // precisely because of what this test asserts: responses do not
+    // depend on the generation gate.
     let jobs = mixed_batch();
     let reference = render(
         &Service::new(ServiceConfig::new().workers(1).cache(false)),
         &jobs,
     );
-    std::env::set_var(kbp_kripke::SHARD_MIN_WORLDS_ENV, "0");
-    let sharded = render(
+    std::env::set_var(kbp_kripke::GEN_QUOTIENT_MIN_WORLDS_ENV, "0");
+    let fused = render(
         &Service::new(ServiceConfig::new().workers(2).cache(true)),
         &jobs,
     );
-    std::env::remove_var(kbp_kripke::SHARD_MIN_WORLDS_ENV);
+    std::env::remove_var(kbp_kripke::GEN_QUOTIENT_MIN_WORLDS_ENV);
     assert_eq!(
-        sharded, reference,
-        "intra-layer sharding leaked into the wire format"
+        fused, reference,
+        "fused generation leaked into the wire format"
     );
 }
 
